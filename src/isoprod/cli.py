@@ -2,13 +2,15 @@
 
 Subcommands: ``list`` (catalog), ``compute`` (H_1 of a builtin case or a
 JSON case file, by either or both methods), ``verify`` (cross-check the
-builtin catalog), ``export`` (serialize a builtin case).  Exit codes:
-0 success, 1 validation failure or method mismatch, 2 usage or parse
-error.  All output is byte-deterministic for a given invocation.
+builtin catalog), ``export`` (serialize a builtin case).  Where the cocycle
+method does not apply, as for composite k, ``compute --method both`` runs
+the oracle alone and says on stderr why the cocycle method was skipped.
+Exit codes: 0 success, 1 validation failure or method mismatch, 2 usage or
+parse error.  All output is byte-deterministic for a given invocation.
 
 A case file is a single JSON object with keys ``group_orders`` (list of
-ints), ``phi`` and ``psi`` (lists of integer vectors, one per generator),
-and an optional ``label``.  Unknown keys are rejected.
+ints, each >= 2), ``phi`` and ``psi`` (lists of integer vectors, one per
+generator), and an optional ``label``.  Unknown keys are rejected.
 """
 
 from __future__ import annotations
@@ -21,7 +23,7 @@ from pathlib import Path
 from typing import Sequence
 
 from .abelian import FinAbGroup
-from .cocycle import cross_check, h1_cocycle
+from .cocycle import cocycle_obstruction, cross_check, h1_cocycle
 from .families import FamilyCase, builtin_case, builtin_cases
 from .intlattice import InvariantFactors
 from .oracle import kernel_h1
@@ -84,6 +86,9 @@ def parse_case_file(text: str) -> CaseFile:
         if key not in doc:
             raise CaseFileError(f"missing key {key!r}")
     orders = _int_list(doc["group_orders"], "group_orders")
+    for i, order in enumerate(orders):
+        if order < 2:
+            raise CaseFileError(f"group_orders[{i}]: cyclic orders must be >= 2, got {order}")
     label = doc.get("label")
     if label is not None and not isinstance(label, str):
         raise CaseFileError("label: expected a string")
@@ -165,7 +170,10 @@ def cmd_compute(args: argparse.Namespace) -> int:
     if not freeness_check(case.phi, case.psi):
         print("warning: action not free", file=sys.stderr)
     results: dict[str, InvariantFactors] = {}
-    if args.method in ("paper", "both"):
+    skip = cocycle_obstruction(case.phi, case.psi) if args.method == "both" else None
+    if skip is not None:
+        print(f"note: cocycle method skipped: {skip}", file=sys.stderr)
+    elif args.method in ("paper", "both"):
         results["paper"] = h1_cocycle(case.phi, case.psi)
     if args.method in ("oracle", "both"):
         results["oracle"] = kernel_h1(case.phi, case.psi)

@@ -51,20 +51,28 @@ from .presentation import (
 from .oracle import kernel_h1
 
 
-def _common_prime_order(phi: GeneratingSystem, psi: GeneratingSystem) -> int:
+def cocycle_obstruction(phi: GeneratingSystem, psi: GeneratingSystem) -> str | None:
+    """Why the cocycle method does not apply to this pair, or None if it does."""
     if phi.group != psi.group:
-        raise ValueError("generating systems target different groups")
+        return "generating systems target different groups"
     if phi.k != psi.k:
-        raise ValueError(f"branch orders differ: {phi.k} vs {psi.k}")
+        return f"branch orders differ: {phi.k} vs {psi.k}"
     k = phi.k
     if any(o != k for o in phi.group.orders):
-        raise ValueError(
+        return (
             f"the cocycle method needs all cyclic orders equal to k={k}, "
             f"got {phi.group.orders}"
         )
     if not _is_prime(k):
-        raise ValueError(f"the cocycle method needs prime k, got {k}")
-    return k
+        return f"the cocycle method needs prime k, got {k}"
+    return None
+
+
+def _common_prime_order(phi: GeneratingSystem, psi: GeneratingSystem) -> int:
+    reason = cocycle_obstruction(phi, psi)
+    if reason is not None:
+        raise ValueError(reason)
+    return phi.k
 
 
 def wedge_relator(images: Sequence[AbElement], k: int) -> Wedge2:

@@ -9,7 +9,9 @@ is routine and harmless.
 
 from __future__ import annotations
 
+import heapq
 from dataclasses import dataclass
+from itertools import compress
 from math import prod
 from typing import Iterable, Sequence
 
@@ -27,7 +29,7 @@ class IntMatrix:
     __slots__ = ("data", "cols")
 
     def __init__(self, rows: Iterable[Iterable[int]], cols: int | None = None):
-        data = [[int(x) for x in row] for row in rows]
+        data = [list(map(int, row)) for row in rows]
         if data:
             width = len(data[0])
             if cols is not None and cols != width:
@@ -235,8 +237,17 @@ def _smith(d: list[list[int]], m: int, n: int,
     """In-place Smith elimination of the m x n array d.
 
     u and v, when given, accumulate the row and column operations so that
-    u * original * v = d on exit.  Pivots of minimal absolute value limit
-    entry growth.
+    u * original * v = d on exit.  Step t moves an entry of minimal |value|
+    in d[t:, t:] to (t, t), which limits entry growth, then clears column t
+    in one pass over rows t+1..m-1: each row in turn runs Euclid against
+    row t (nearest-quotient subtraction, swapping when a remainder is left)
+    until its entry in column t is zero.  A row cleared this way stays
+    clear, because later steps of the pass change only row t and the row
+    being cleared.  Row t is cleared the same way by column operations;
+    only a column swap can refill column t, so the two passes repeat until
+    a row pass makes no swap.  If some later entry is not a multiple of the
+    pivot, its row is added to row t and the step starts over with a
+    smaller pivot.
     """
     for t in range(min(m, n)):
         found = _select_pivot(d, t, m, n)
@@ -245,23 +256,20 @@ def _smith(d: list[list[int]], m: int, n: int,
         _row_swap(d, u, found[0], t)
         _col_swap(d, v, found[1], t)
         while True:
-            # Euclidean sweeps until row t and column t are clear past the pivot.
-            while True:
-                offender = next((i for i in range(t + 1, m) if d[i][t]), None)
-                if offender is not None:
-                    q = _nearest_quotient(d[offender][t], d[t][t])
-                    _row_sub(d, u, offender, t, q)
-                    if d[offender][t]:
-                        _row_swap(d, u, offender, t)
-                    continue
-                offender = next((j for j in range(t + 1, n) if d[t][j]), None)
-                if offender is not None:
-                    q = _nearest_quotient(d[t][offender], d[t][t])
-                    _col_sub(d, v, offender, t, q)
-                    if d[t][offender]:
-                        _col_swap(d, v, offender, t)
-                    continue
-                break
+            refilled = True
+            while refilled:
+                for i in range(t + 1, m):
+                    while d[i][t]:
+                        _row_sub(d, u, i, t, _nearest_quotient(d[i][t], d[t][t]))
+                        if d[i][t]:
+                            _row_swap(d, u, i, t)
+                refilled = False
+                for j in range(t + 1, n):
+                    while d[t][j]:
+                        _col_sub(d, v, j, t, _nearest_quotient(d[t][j], d[t][t]))
+                        if d[t][j]:
+                            _col_swap(d, v, j, t)
+                            refilled = True
             pivot = d[t][t]
             bad = next(
                 (i for i in range(t + 1, m) if any(d[i][j] % pivot for j in range(t + 1, n))),
@@ -298,57 +306,60 @@ def _presparse_reduce(rows: list[dict[int, int]], live_cols: set[int]) -> int:
 
     Each elimination contributes an invariant factor of 1, so only the count
     of removed columns matters.  Mutates rows / live_cols; returns the number
-    of pivots removed.  Greedy sparsest-row choice keeps fill-in low.
+    of pivots removed.
+
+    The pivot row is the lightest row holding a +-1 entry, taken from a heap
+    keyed on (row weight, row id).  A row is pushed again whenever an
+    elimination changes it, and a popped entry whose weight is out of date,
+    or whose row is gone or has lost its units, is skipped.  Within that
+    row the pivot column is the +-1 column met by the fewest rows
+    (Markowitz), which bounds the fill-in.  A column -> rows index, kept up
+    to date through fill-in and cancellation, means an elimination touches
+    only the rows that meet the pivot column.
     """
+    col_rows: dict[int, set[int]] = {}
+    heap = []
+    for idx, row in enumerate(rows):
+        for c in row:
+            col_rows.setdefault(c, set()).add(idx)
+        values = row.values()
+        if 1 in values or -1 in values:
+            heap.append((len(row), idx))
+    heapq.heapify(heap)
     removed = 0
-    by_unit: dict[int, set[int]] = {}  # col -> row ids having +-1 there
-
-    def scan(idx: int) -> None:
-        for c, val in rows[idx].items():
-            if abs(val) == 1:
-                by_unit.setdefault(c, set()).add(idx)
-
-    for idx in range(len(rows)):
-        scan(idx)
-    dead_rows: set[int] = set()
-    while True:
-        pick = None
-        for c, idxs in by_unit.items():
-            if c not in live_cols:
-                continue
-            for idx in idxs:
-                if idx in dead_rows or abs(rows[idx].get(c, 0)) != 1:
-                    continue
-                if pick is None or len(rows[idx]) < len(rows[pick[0]]):
-                    pick = (idx, c)
-        if pick is None:
-            return removed
-        pr, pc = pick
+    while heap:
+        weight, pr = heapq.heappop(heap)
         pivot_row = rows[pr]
+        if len(pivot_row) != weight:
+            continue  # stale: the row was pushed again when it changed, or it is gone
+        units = [c for c, val in pivot_row.items() if val == 1 or val == -1]
+        if not units:
+            continue
+        pc = min(units, key=lambda c: len(col_rows[c]))
         sign = pivot_row[pc]
-        dead_rows.add(pr)
-        live_cols.discard(pc)
-        removed += 1
-        for idx in range(len(rows)):
-            if idx == pr or idx in dead_rows:
-                continue
+        for c in pivot_row:
+            col_rows[c].discard(pr)
+        for idx in col_rows.pop(pc):
             row = rows[idx]
-            coef = row.get(pc)
-            if not coef:
-                continue
-            factor = coef * sign  # row -= factor * pivot_row zeroes column pc
+            factor = row.pop(pc) * sign  # row -= factor * pivot_row zeroes column pc
             for c, val in pivot_row.items():
-                if c not in live_cols:
+                if c == pc:
                     continue
                 new = row.get(c, 0) - factor * val
                 if new:
+                    if c not in row:
+                        col_rows[c].add(idx)
                     row[c] = new
-                    if abs(new) == 1:
-                        by_unit.setdefault(c, set()).add(idx)
-                else:
-                    row.pop(c, None)
-            row.pop(pc, None)
+                elif c in row:
+                    del row[c]
+                    col_rows[c].discard(idx)
+            values = row.values()
+            if 1 in values or -1 in values:
+                heapq.heappush(heap, (len(row), idx))
         pivot_row.clear()
+        live_cols.discard(pc)
+        removed += 1
+    return removed
 
 
 def _diagonal_invariants(rows: list[list[int]], ncols: int) -> list[int]:
@@ -358,10 +369,8 @@ def _diagonal_invariants(rows: list[list[int]], ncols: int) -> list[int]:
     elimination; unit pivots contribute factors of 1 which are returned
     explicitly so callers can count consumed columns.
     """
-    sparse = [
-        {j: x for j, x in enumerate(row) if x}
-        for row in rows
-    ]
+    columns = range(ncols)
+    sparse = [{j: row[j] for j in compress(columns, row)} for row in rows]
     sparse = [r for r in sparse if r]
     live = set(range(ncols))
     units = _presparse_reduce(sparse, live)
@@ -388,18 +397,20 @@ def abelian_invariants(
     Columns index generators, rows are relations.  ``generator_orders``
     optionally gives each generator a finite order k_i (appending the row
     k_i * e_i); entries of None or "free" leave that generator free, and
-    omitting the argument leaves all of them free.
+    omitting the argument leaves all of them free.  ``relations`` is left
+    unchanged.
 
     >>> str(abelian_invariants(IntMatrix([], cols=3), [2, 2, 2]))
     'Z/2 ⊕ Z/2 ⊕ Z/2'
     """
     n = relations.cols
-    rows = [row[:] for row in relations.data]
+    rows = relations.data
     if generator_orders is not None:
         if len(generator_orders) != n:
             raise ValueError(
                 f"got {len(generator_orders)} generator orders for {n} generators"
             )
+        order_rows = []
         for i, k in enumerate(generator_orders):
             if k is None or k == "free":
                 continue
@@ -408,7 +419,8 @@ def abelian_invariants(
                 raise ValueError(f"generator order {k} < 1")
             row = [0] * n
             row[i] = k
-            rows.append(row)
+            order_rows.append(row)
+        rows = rows + order_rows
     diag = _diagonal_invariants(rows, n)
     return InvariantFactors(
         factors=tuple(d for d in diag if d > 1),

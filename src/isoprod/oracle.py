@@ -11,7 +11,7 @@ whose cokernel is K^ab = H_1.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Sequence
 
 from .abelian import AbElement, FinAbGroup
@@ -31,29 +31,44 @@ class CosetTable:
     """Cosets of the kernel, indexed in BFS discovery order (0 = identity).
 
     ``letters`` fixes the generator order used for the BFS; ``moves[p][c]``
-    is the coset reached from coset c by the positive letter at position p.
+    is the coset reached from coset c by the positive letter at position p,
+    and ``inverse_moves[p][c]`` the coset reached by its inverse.
+    ``positions`` maps (factor, index) of a generator to its position.
     """
 
     group: FinAbGroup
     letters: tuple[Letter, ...]
     cosets: tuple[AbElement, ...]
     moves: tuple[tuple[int, ...], ...]
+    positions: dict[tuple[str, int], int] = field(init=False, repr=False, compare=False)
+    inverse_moves: tuple[tuple[int, ...], ...] = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self):
+        positions = {(l.factor, l.index): p for p, l in enumerate(self.letters)}
+        inverse_moves = []
+        for forward in self.moves:
+            back = [0] * len(forward)
+            for c, target in enumerate(forward):
+                back[target] = c
+            inverse_moves.append(tuple(back))
+        object.__setattr__(self, "positions", positions)
+        object.__setattr__(self, "inverse_moves", tuple(inverse_moves))
 
     @property
     def size(self) -> int:
         return len(self.cosets)
 
     def position(self, letter: Letter) -> int:
-        for p, l in enumerate(self.letters):
-            if l.factor == letter.factor and l.index == letter.index:
-                return p
-        raise KeyError(f"unknown generator {letter}")
+        try:
+            return self.positions[letter.factor, letter.index]
+        except KeyError:
+            raise KeyError(f"unknown generator {letter}") from None
 
     def step(self, coset: int, letter: Letter) -> int:
         p = self.position(letter)
         if letter.sign == 1:
             return self.moves[p][coset]
-        return self.moves[p].index(coset)
+        return self.inverse_moves[p][coset]
 
 
 def coset_table(
@@ -144,30 +159,31 @@ def schreier_transversal(table: CosetTable) -> SchreierData:
 
 
 def rewrite_trace(
-    word: Word, data: SchreierData, start: int = 0, skip_tree: bool = True
+    word: Word, data: SchreierData, start: int = 0
 ) -> list[tuple[tuple[int, int], int]]:
     """Ordered kernel-generator emissions of a word read from the given coset.
 
     Reading a positive letter at coset c emits ((c, position), +1) and moves
     forward; a negative letter moves back first and emits with sign -1.
-    Tree-edge generators are trivial and skipped unless ``skip_tree=False``.
+    Tree-edge generators are trivial and skipped.
     """
     table = data.table
+    positions, moves, inverse_moves = table.positions, table.moves, table.inverse_moves
+    tree = data.tree
     out = []
     c = start
     for letter in word:
-        p = table.position(letter)
+        p = positions[letter.factor, letter.index]
         if letter.sign == 1:
             key = (c, p)
-            c = table.moves[p][c]
+            c = moves[p][c]
             sign = 1
         else:
-            c = table.moves[p].index(c)
+            c = inverse_moves[p][c]
             key = (c, p)
             sign = -1
-        if skip_tree and key in data.tree:
-            continue
-        out.append((key, sign))
+        if key not in tree:
+            out.append((key, sign))
     return out
 
 

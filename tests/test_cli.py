@@ -13,6 +13,9 @@ from isoprod.cli import (
 )
 from isoprod import builtin_case
 
+# A valid case with composite k = 4, outside the cocycle method's scope.
+COMPOSITE_K = {"group_orders": [4], "phi": [[1], [1], [1], [1]], "psi": [[1], [3], [1], [3]]}
+
 
 def run_cli(capsys, *argv):
     code = main(list(argv))
@@ -42,6 +45,11 @@ class TestParseCaseFile:
     def test_vector_shape_mismatch_named(self):
         doc = '{"group_orders": [2, 2, 2], "phi": [[1, 0]], "psi": []}'
         with pytest.raises(CaseFileError, match=r"phi\[0\]: expected 3 entries"):
+            parse_case_file(doc)
+
+    def test_group_order_below_two_rejected(self):
+        doc = '{"group_orders": [2, 1], "phi": [[1, 0]], "psi": [[1, 0]]}'
+        with pytest.raises(CaseFileError, match=r"group_orders\[1\]: .*>= 2, got 1"):
             parse_case_file(doc)
 
     def test_non_integer_entries_rejected(self):
@@ -157,6 +165,30 @@ class TestFailureModes:
         code, _, err = run_cli(capsys, "compute", str(path))
         assert code == 1
         assert "empty generating system" in err
+
+    def test_composite_k_both_runs_oracle_and_says_why(self, capsys, tmp_path):
+        path = tmp_path / "k4.json"
+        path.write_text(json.dumps(COMPOSITE_K), encoding="utf-8")
+        code, out, err = run_cli(capsys, "compute", str(path))
+        assert code == 0
+        assert "cocycle method skipped" in err and "needs prime k" in err
+        assert "paper:" not in out
+        assert "oracle: Z/4 ⊕ Z/4 ⊕ Z/4 ⊕ Z/4 ⊕ Z/4" in out
+
+    def test_composite_k_paper_alone_exits_one(self, capsys, tmp_path):
+        path = tmp_path / "k4.json"
+        path.write_text(json.dumps(COMPOSITE_K), encoding="utf-8")
+        code, out, err = run_cli(capsys, "compute", str(path), "--method", "paper")
+        assert code == 1
+        assert "needs prime k" in err and out == ""
+
+    def test_group_order_below_two_exits_two(self, capsys, tmp_path):
+        path = tmp_path / "order1.json"
+        doc = {"group_orders": [1], "phi": [[0], [0], [0]], "psi": [[0], [0], [0]]}
+        path.write_text(json.dumps(doc), encoding="utf-8")
+        code, _, err = run_cli(capsys, "compute", str(path))
+        assert code == 2
+        assert "group_orders[0]" in err
 
     def test_parse_error_exits_two(self, capsys, tmp_path):
         path = tmp_path / "bad.json"

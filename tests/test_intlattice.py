@@ -40,6 +40,29 @@ def random_matrix(rng: random.Random, rows: int, cols: int, bound: int = 20) -> 
     )
 
 
+def snf_invariants(A: IntMatrix) -> InvariantFactors:
+    """Invariants read off the diagonal of the transform-tracking SNF."""
+    D, U, V = smith_normal_form(A)
+    assert U @ A @ V == D
+    diag = D.diagonal()
+    return InvariantFactors(
+        tuple(d for d in diag if d > 1),
+        free_rank=A.cols - sum(1 for d in diag if d),
+    )
+
+
+def assert_invariants_match_snf(A: IntMatrix) -> None:
+    """abelian_invariants (sparse unit pivots, then dense Smith) against the SNF."""
+    before = [row[:] for row in A.data]
+    assert abelian_invariants(A) == snf_invariants(A)
+    assert A.data == before
+
+
+# Mostly zeros and units: the sparse unit-pivot pass does nearly all the work.
+UNIT_RICH = st.sampled_from((0, 0, 0, 0, 0, 1, -1, 1, -1, 2, -2, 3))
+NON_UNIT = (0, 0, 2, -2, 3, -4, 6, 9)
+
+
 class TestSmithNormalForm:
     def test_identity(self):
         I3 = IntMatrix.identity(3)
@@ -189,14 +212,44 @@ class TestAbelianInvariants:
         rng = random.Random(43)
         for _ in range(60):
             m, n = rng.randint(1, 7), rng.randint(1, 6)
-            A = random_matrix(rng, m, n, 15)
-            D, _, _ = smith_normal_form(A)
-            diag = D.diagonal()
-            expected = InvariantFactors(
-                tuple(d for d in diag if d > 1),
-                free_rank=n - sum(1 for d in diag if d),
-            )
-            assert abelian_invariants(A) == expected
+            assert_invariants_match_snf(random_matrix(rng, m, n, 15))
+
+    @given(st.data())
+    @settings(max_examples=80, deadline=None)
+    def test_unit_rich_sparse_matches_snf(self, data):
+        n = data.draw(st.integers(1, 8))
+        row = st.lists(UNIT_RICH, min_size=n, max_size=n)
+        assert_invariants_match_snf(IntMatrix(data.draw(st.lists(row, min_size=1, max_size=14))))
+
+    @given(st.integers(0, 2**32), st.integers(1, 4))
+    @settings(max_examples=12, deadline=None)
+    def test_tall_non_unit_matches_snf(self, seed, cols):
+        # Tall residuals like the oracle's: no unit entries, so the dense
+        # Smith step clears 300-row columns.
+        rng = random.Random(seed)
+        rows = [[rng.choice(NON_UNIT) for _ in range(cols)] for _ in range(300)]
+        assert_invariants_match_snf(IntMatrix(rows, cols=cols))
+
+    @given(st.data())
+    @settings(max_examples=60, deadline=None)
+    def test_cancelling_fill_in_matches_snf(self, data):
+        # Every other row is c * pivot row + z with z zero on the pivot
+        # row's support, so eliminating the pivot cancels all its fill-in.
+        n = data.draw(st.integers(2, 7))
+        pivot = [data.draw(st.sampled_from((1, -1)))]
+        pivot += data.draw(st.lists(st.integers(-3, 3), min_size=n - 1, max_size=n - 1))
+        rows = [pivot]
+        for _ in range(data.draw(st.integers(1, 8))):
+            c = data.draw(st.integers(-3, 3))
+            z = data.draw(st.lists(st.sampled_from(NON_UNIT), min_size=n, max_size=n))
+            rows.append([c * p + (0 if p else x) for p, x in zip(pivot, z)])
+        assert_invariants_match_snf(IntMatrix(rows))
+
+    def test_orders_leave_callers_rows_alone(self):
+        A = IntMatrix([[1, 2, 0], [0, 2, 4]])
+        before = [row[:] for row in A.data]
+        assert abelian_invariants(A, [6, None, 4]) == InvariantFactors((2, 4))
+        assert A.data == before
 
 
 class TestInvariantFactors:

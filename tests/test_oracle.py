@@ -165,6 +165,27 @@ class TestRewriting:
                     expansion = expansion * (piece if sign == 1 else piece.inverse())
                 assert free_reduce(expansion) == free_reduce(conjugate)
 
+    def test_permuted_gen_order_rewrites_conjugates_on_tree_free_keys(self, cases):
+        # As above, under a permuted BFS order: the trace skips every tree
+        # key, each emitted generator lies in the kernel, and the emitted
+        # generators multiply back to the conjugate.
+        rng = random.Random(53)
+        for case in cases:
+            perm = list(range(case.n + case.m))
+            rng.shuffle(perm)
+            pres, diff, table, data = case_machinery(case, gen_order=perm)
+            for r in pres.relators():
+                for c in range(table.size):
+                    t = data.transversal[c]
+                    conjugate = t * r * t.inverse()
+                    expansion = Word()
+                    for key, sign in rewrite_trace(conjugate, data):
+                        assert key not in data.tree
+                        piece = data.generator_word(*key)
+                        assert diff.evaluate(piece).is_zero()
+                        expansion = expansion * (piece if sign == 1 else piece.inverse())
+                    assert free_reduce(expansion) == free_reduce(conjugate)
+
     def test_rewritten_rows_are_kernel_elements(self):
         case = builtin_case(3)
         pres, diff, table, data = case_machinery(case)
