@@ -24,7 +24,7 @@ from typing import Sequence
 
 from .abelian import FinAbGroup
 from .cocycle import cocycle_obstruction, cross_check, h1_cocycle
-from .families import FamilyCase, builtin_case, builtin_cases
+from .families import CASE_ID_RANGE, CASE_IDS, FamilyCase, builtin_case, builtin_cases
 from .intlattice import InvariantFactors
 from .oracle import kernel_h1
 from .presentation import GeneratingSystem, InvalidCaseError, freeness_check
@@ -143,12 +143,20 @@ def case_file_json(cf: CaseFile) -> str:
     return json.dumps(doc, indent=2, sort_keys=True) + "\n"
 
 
+def _case_id(argument: str) -> int | None:
+    """The catalog id that ``argument`` spells, or None."""
+    return next((i for i in CASE_IDS if str(i) == argument), None)
+
+
 def _load_case(argument: str) -> FamilyCase:
-    if argument in {"1", "2", "3", "4"}:
-        return builtin_case(int(argument))
+    case_id = _case_id(argument)
+    if case_id is not None:
+        return builtin_case(case_id)
     path = Path(argument)
     if not path.is_file():
-        raise CaseFileError(f"{argument}: not a case id (1..4) or a readable file")
+        raise CaseFileError(
+            f"{argument}: not a case id ({CASE_ID_RANGE}) or a readable file"
+        )
     return case_from_file(parse_case_file(path.read_text(encoding="utf-8")))
 
 
@@ -197,10 +205,10 @@ def cmd_compute(args: argparse.Namespace) -> int:
 
 
 def cmd_verify(args: argparse.Namespace) -> int:
-    ids = sorted(set(args.ids)) if args.ids and not args.all else [1, 2, 3, 4]
+    ids = sorted(set(args.ids)) if args.ids and not args.all else CASE_IDS
     for i in ids:
-        if i not in (1, 2, 3, 4):
-            raise CaseFileError(f"unknown case id {i}; the catalog has cases 1..4")
+        if i not in CASE_IDS:
+            raise CaseFileError(f"unknown case id {i}; the catalog has cases {CASE_ID_RANGE}")
     failed = False
     for i in ids:
         case = builtin_case(i)
@@ -216,9 +224,10 @@ def cmd_verify(args: argparse.Namespace) -> int:
 
 
 def cmd_export(args: argparse.Namespace) -> int:
-    case = builtin_case(int(args.case)) if args.case in {"1", "2", "3", "4"} else None
-    if case is None:
-        raise CaseFileError(f"{args.case}: export takes a builtin case id (1..4)")
+    case_id = _case_id(args.case)
+    if case_id is None:
+        raise CaseFileError(f"{args.case}: export takes a builtin case id ({CASE_ID_RANGE})")
+    case = builtin_case(case_id)
     if args.format == "json":
         sys.stdout.write(case_file_json(case_to_file(case)))
     else:
@@ -244,7 +253,9 @@ def build_parser() -> argparse.ArgumentParser:
     sub.add_parser("list", help="show the builtin catalog").set_defaults(func=cmd_list)
 
     compute = sub.add_parser("compute", help="compute H_1 for a case id or case file")
-    compute.add_argument("case", help="builtin case id (1..4) or path to a JSON case file")
+    compute.add_argument(
+        "case", help=f"builtin case id ({CASE_ID_RANGE}) or path to a JSON case file"
+    )
     compute.add_argument(
         "--method",
         choices=METHOD_NAMES,
@@ -261,7 +272,7 @@ def build_parser() -> argparse.ArgumentParser:
     verify.set_defaults(func=cmd_verify)
 
     export = sub.add_parser("export", help="serialize a builtin case")
-    export.add_argument("case", help="builtin case id (1..4)")
+    export.add_argument("case", help=f"builtin case id ({CASE_ID_RANGE})")
     export.add_argument("--format", choices=("json", "text"), default="json")
     export.set_defaults(func=cmd_export)
 

@@ -83,10 +83,14 @@ _BUILTIN_DATA: dict[int, tuple[tuple[int, ...], int, list, list, int]] = {
 }
 
 
+CASE_IDS: tuple[int, ...] = tuple(sorted(_BUILTIN_DATA))
+CASE_ID_RANGE = f"{CASE_IDS[0]}..{CASE_IDS[-1]}"
+
+
 def builtin_case(case_id: int) -> FamilyCase:
-    """One of the four catalog cases, by id 1..4."""
+    """One of the catalog cases, by an id in CASE_IDS."""
     if case_id not in _BUILTIN_DATA:
-        raise ValueError(f"unknown case id {case_id!r}; the catalog has cases 1..4")
+        raise ValueError(f"unknown case id {case_id!r}; the catalog has cases {CASE_ID_RANGE}")
     orders, k, phi_coeffs, psi_coeffs, dim = _BUILTIN_DATA[case_id]
     group = FinAbGroup(orders)
     return FamilyCase(
@@ -101,7 +105,7 @@ def builtin_case(case_id: int) -> FamilyCase:
 
 
 def builtin_cases() -> tuple[FamilyCase, ...]:
-    return tuple(builtin_case(i) for i in sorted(_BUILTIN_DATA))
+    return tuple(builtin_case(i) for i in CASE_IDS)
 
 
 def genus(group_order: int, branch_count: int, k: int) -> int:

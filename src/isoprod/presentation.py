@@ -12,9 +12,11 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass
-from typing import Sequence
+from functools import cached_property
+from typing import Iterable, Sequence
 
 from .abelian import AbElement, FinAbGroup, subgroup_generated
+from .intlattice import IntMatrix, abelian_invariants
 
 FIRST, SECOND = "a", "b"
 _FACTORS = (FIRST, SECOND)
@@ -174,7 +176,8 @@ class GeneratingSystem:
     """Generator images in a finite abelian group, with declared branch order k.
 
     Valid systems have images of order exactly k that generate the group and
-    sum to zero; see validate_generating_system.
+    sum to zero; see validate_generating_system.  ``validation`` holds the
+    report, computed on first use and kept for the life of the object.
     """
 
     group: FinAbGroup
@@ -194,6 +197,11 @@ class GeneratingSystem:
 
     def presentation(self) -> OrbifoldPresentation:
         return OrbifoldPresentation(self.n, self.k)
+
+    @cached_property
+    def validation(self) -> "ValidationReport":
+        """validate_generating_system(self), computed once per object."""
+        return validate_generating_system(self)
 
     def evaluate(self, word: Word) -> AbElement:
         """Image of a word in this factor (letters of any single tag)."""
@@ -233,7 +241,14 @@ class InvalidCaseError(ValueError):
 
 
 def validate_generating_system(sys: GeneratingSystem) -> ValidationReport:
-    """Check product-zero, generation, and that every image has order k."""
+    """Check product-zero, generation, and that every image has order k.
+
+    The images generate G exactly when the cokernel of the matrix whose rows
+    are their coefficient vectors, with the cyclic orders of G appended as
+    relations, is trivial: that cokernel is G modulo the span of the images.
+    Nothing enumerates the elements of G.  Callers that hold a system should
+    read ``sys.validation``, which runs this once per object.
+    """
     failures: list[str] = []
     if not sys.images:
         return ValidationReport(("empty generating system",))
@@ -242,7 +257,8 @@ def validate_generating_system(sys: GeneratingSystem) -> ValidationReport:
         total = total + img
     if not total.is_zero():
         failures.append(f"images sum to {total}, not zero")
-    if len(subgroup_generated(sys.group, sys.images)) != sys.group.order():
+    span = IntMatrix([img.coeffs for img in sys.images], cols=sys.group.rank)
+    if not abelian_invariants(span, sys.group.orders).is_trivial:
         failures.append("images do not generate the group")
     for i, img in enumerate(sys.images, start=1):
         o = img.order()
@@ -252,7 +268,12 @@ def validate_generating_system(sys: GeneratingSystem) -> ValidationReport:
 
 
 def require_valid(sys: GeneratingSystem) -> None:
-    report = validate_generating_system(sys)
+    """Raise InvalidCaseError naming every failed condition.
+
+    Reads the report cached on ``sys``, so guarding the same system in
+    several places validates it only once.
+    """
+    report = sys.validation
     if not report.ok:
         raise InvalidCaseError(report.failures)
 
@@ -297,19 +318,24 @@ def difference_hom(phi: GeneratingSystem, psi: GeneratingSystem) -> DifferenceMa
     return DifferenceMap(phi, psi)
 
 
+def _nonzero_cyclic_union(images: Iterable[AbElement]) -> set[tuple[int, ...]]:
+    """Coefficients of the multiples j*x, 1 <= j < ord(x), of each image x."""
+    union: set[tuple[int, ...]] = set()
+    for img in set(images):
+        orders = img.group.orders
+        for j in range(1, img.order()):
+            union.add(tuple(j * c % k for c, k in zip(img.coeffs, orders)))
+    return union
+
+
 def freeness_check(phi: GeneratingSystem, psi: GeneratingSystem) -> bool:
     """True iff the unions of cyclic subgroups of the two image lists meet only in 0.
 
     This is the condition for the diagonal action on the product of the two
-    curves to be free; it is symmetric in the two systems.
+    curves to be free; it is symmetric in the two systems.  Each union is
+    built as a set of coefficient tuples from the nonzero multiples of the
+    distinct images, so the two sides must simply be disjoint.
     """
     if phi.group != psi.group:
         raise ValueError("generating systems target different groups")
-    zero = phi.group.zero()
-    union_phi: set[AbElement] = set()
-    for img in phi.images:
-        union_phi |= subgroup_generated(phi.group, [img])
-    union_psi: set[AbElement] = set()
-    for img in psi.images:
-        union_psi |= subgroup_generated(psi.group, [img])
-    return union_phi & union_psi == {zero}
+    return _nonzero_cyclic_union(phi.images).isdisjoint(_nonzero_cyclic_union(psi.images))

@@ -202,6 +202,12 @@ class TestFailureModes:
         assert code == 2
         assert "not a case id" in err
 
+    @pytest.mark.parametrize("argv", [("compute", "5"), ("export", "0"), ("verify", "9")])
+    def test_out_of_catalog_id_names_the_range(self, capsys, argv):
+        code, _, err = run_cli(capsys, *argv)
+        assert code == 2
+        assert "1..4" in err
+
     def test_usage_error_exits_two(self, capsys):
         assert main([]) == 2
         capsys.readouterr()

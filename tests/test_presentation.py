@@ -1,7 +1,10 @@
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+import isoprod.presentation as presentation
 from isoprod import (
     FinAbGroup,
     GeneratingSystem,
@@ -12,9 +15,39 @@ from isoprod import (
     difference_hom,
     free_reduce,
     freeness_check,
+    run_case,
+    subgroup_generated,
     validate_generating_system,
 )
+from isoprod.cli import main
 from conftest import random_valid_system, random_word
+
+# Cyclic, mixed, non-prime, elementary and trivial targets.
+SMALL_GROUPS = [(4,), (2, 4), (2, 6), (3, 3), (2, 2, 2), ()]
+
+
+@st.composite
+def image_lists(draw, group: FinAbGroup, min_size: int = 0):
+    """Random images in ``group``, with repeats and zero images mixed in."""
+    element = st.tuples(*(st.integers(0, k - 1) for k in group.orders)).map(group.element)
+    images = draw(st.lists(element, min_size=min_size, max_size=4))
+    if images:
+        images += draw(st.lists(st.sampled_from(images), max_size=3))
+    images += [group.zero()] * draw(st.integers(0, 2))
+    return draw(st.permutations(images))
+
+
+@st.composite
+def group_and_images(draw, count: int):
+    group = FinAbGroup(draw(st.sampled_from(SMALL_GROUPS)))
+    return (group,) + tuple(draw(image_lists(group, min_size=1)) for _ in range(count))
+
+
+def cyclic_union(group: FinAbGroup, images) -> set:
+    union = set()
+    for img in images:
+        union |= subgroup_generated(group, [img])
+    return union
 
 
 class TestWords:
@@ -169,6 +202,54 @@ class TestValidation:
         report = validate_generating_system(GeneratingSystem(G, (g, g, g, g), 4))
         assert any("order" in f for f in report.failures)
 
+    @given(group_and_images(1))
+    @settings(max_examples=150, deadline=None)
+    def test_generation_verdict_matches_closure(self, drawn):
+        G, images = drawn
+        report = validate_generating_system(GeneratingSystem(G, tuple(images), 2))
+        generates = len(subgroup_generated(G, images)) == G.order()
+        assert ("images do not generate the group" not in report.failures) == generates
+
+
+class TestValidateOnce:
+    @pytest.fixture
+    def validated(self, monkeypatch):
+        """The systems passed to validate_generating_system, one entry per call."""
+        calls = []
+        original = presentation.validate_generating_system
+
+        def counting(sys):
+            calls.append(sys)
+            return original(sys)
+
+        monkeypatch.setattr(presentation, "validate_generating_system", counting)
+        return calls
+
+    @pytest.mark.parametrize("method", [None, "paper", "oracle"])
+    def test_compute_validates_each_system_once(self, validated, capsys, method):
+        argv = ["compute", "1", "--json"] + (["--method", method] if method else [])
+        assert main(argv) == 0
+        assert len(validated) == 2
+        assert validated[0] is not validated[1]
+
+    def test_run_case_validates_each_system_once(self, validated):
+        run_case(builtin_case(1))
+        assert len(validated) == 2
+
+    def test_no_cache_outlives_the_object(self, validated, capsys):
+        first, second = builtin_case(1), builtin_case(1)
+        run_case(first)
+        run_case(second)
+        assert len(validated) == 4
+        assert main(["compute", "1", "--json"]) == 0
+        assert main(["compute", "1", "--json"]) == 0
+        assert len(validated) == 8
+
+    def test_report_is_cached_on_the_system(self, validated):
+        case = builtin_case(2)
+        assert case.phi.validation is case.phi.validation
+        assert case.phi.validation == validate_generating_system(case.phi)
+
 
 class TestFreeness:
     def test_builtin_cases_free(self, cases):
@@ -196,3 +277,13 @@ class TestFreeness:
             phi = random_valid_system(rng, G, 3, rng.randint(3, 5))
             psi = random_valid_system(rng, G, 3, rng.randint(3, 5))
             assert freeness_check(phi, psi) == freeness_check(psi, phi)
+
+    @given(group_and_images(2))
+    @settings(max_examples=150, deadline=None)
+    def test_matches_definition(self, drawn):
+        G, phi_images, psi_images = drawn
+        phi = GeneratingSystem(G, tuple(phi_images), 2)
+        psi = GeneratingSystem(G, tuple(psi_images), 2)
+        meet = cyclic_union(G, phi_images) & cyclic_union(G, psi_images)
+        assert freeness_check(phi, psi) == (meet == {G.zero()})
+        assert freeness_check(psi, phi) == freeness_check(phi, psi)
