@@ -5,7 +5,8 @@ diagonal action of an abelian group G, with p_g = q = 0.  The library
 computes H_1 two independent ways and derives the rest of the homology.
 """
 
-from isoprod import builtin_cases, run_case
+from isoprod import builtin_cases, full_homology, surface_invariants
+from isoprod.cli import compute
 
 for case in builtin_cases():
     print(f"=== {case.label} ===")
@@ -14,11 +15,14 @@ for case in builtin_cases():
     print("phi:", ", ".join(f"a{i} -> {img}" for i, img in enumerate(case.phi.images, 1)))
     print("psi:", ", ".join(f"b{j} -> {img}" for j, img in enumerate(case.psi.images, 1)))
 
-    report = run_case(case)
-    print(f"H_1 by the cocycle method: {report.h1_cocycle}")
-    print(f"H_1 by the rewriting oracle: {report.h1_oracle}")
-    print(f"curve genera {report.genera}, chi_top = {report.chi_top}")
+    report = compute(case)
+    if not report.agree:
+        raise SystemExit(f"the two methods disagree on {case.label}: {report.h1}")
+    chi_top, genera = surface_invariants(case)
+    print(f"H_1 by the cocycle method: {report.h1['paper']}")
+    print(f"H_1 by the rewriting oracle: {report.h1['oracle']}")
+    print(f"curve genera {genera}, chi_top = {chi_top}")
     print("graded homology:")
-    for degree, group in enumerate(report.graded):
+    for degree, group in enumerate(full_homology(report.h1["paper"])):
         print(f"  H_{degree} = {group}")
     print()

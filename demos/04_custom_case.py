@@ -7,14 +7,8 @@ any valid pair of generating systems.
 
 import json
 
-from isoprod import (
-    FinAbGroup,
-    GeneratingSystem,
-    cross_check,
-    freeness_check,
-    validate_generating_system,
-)
-from isoprod.cli import case_file_json, case_from_file, case_to_file, parse_case_file
+from isoprod import FinAbGroup, GeneratingSystem, validate_generating_system
+from isoprod.cli import case_file_json, case_from_file, case_to_file, compute, parse_case_file
 from isoprod.families import FamilyCase
 
 G = FinAbGroup((3, 3))
@@ -25,10 +19,11 @@ phi = GeneratingSystem(G, (e1, e2, -e1 - e2), 3)
 # Pairing phi with itself is valid but obviously not free.
 psi = phi
 
+case = FamilyCase(id=None, label="demo case", group=G, k=3, phi=phi, psi=psi)
 print("phi valid:", validate_generating_system(phi).ok)
-print("action free:", freeness_check(phi, psi))
-report = cross_check(phi, psi)
-print("both methods still agree:", report)
+report = compute(case)
+print("action free:", report.action_free)
+print("both methods still agree:", report.agree, report.h1["paper"])
 print()
 
 # A genuinely broken system is reported, not crashed on.
@@ -37,7 +32,6 @@ print("broken system:", validate_generating_system(bad))
 print()
 
 # Round-trip the case through the JSON file format the CLI consumes.
-case = FamilyCase(id=None, label="demo case", group=G, k=3, phi=phi, psi=psi)
 text = case_file_json(case_to_file(case))
 print("case file document:")
 print(text)

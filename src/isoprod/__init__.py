@@ -3,9 +3,10 @@
 The library computes H_1 (and the full graded homology) of the quotient of
 a product of two curves by the diagonal action of a finite abelian group,
 given the two generating systems of the covers.  Two independent methods
-are provided and cross-checked: a closed-form computation through the
-exterior square of the group and the bilinear 2-cocycle of a central
-extension, and a Reidemeister-Schreier rewriting oracle.
+are provided: a closed-form computation through the exterior square of
+the group and the bilinear 2-cocycle of a central extension, and a
+Reidemeister-Schreier rewriting oracle.  ``isoprod.cli.compute`` runs them
+and cross-checks the answers.
 """
 
 from .abelian import (
@@ -17,24 +18,19 @@ from .abelian import (
     wedge,
 )
 from .cocycle import (
-    CrossCheckReport,
     ExtensionCocycle,
     WedgeQuotient,
     commutator_quotient,
-    cross_check,
     h1_cocycle,
     kernel_basis,
     wedge_relator,
 )
 from .families import (
     FamilyCase,
-    HomologyMismatchError,
-    HomologyReport,
     builtin_case,
     builtin_cases,
     full_homology,
     genus,
-    run_case,
     surface_invariants,
 )
 from .intlattice import (
@@ -64,7 +60,6 @@ from .presentation import (
     ValidationReport,
     Word,
     commutator,
-    difference_hom,
     free_reduce,
     freeness_check,
     gen,
@@ -76,14 +71,11 @@ __version__ = "0.1.0"
 __all__ = [
     "AbElement",
     "CosetTable",
-    "CrossCheckReport",
     "DifferenceMap",
     "ExtensionCocycle",
     "FamilyCase",
     "FinAbGroup",
     "GeneratingSystem",
-    "HomologyMismatchError",
-    "HomologyReport",
     "IntMatrix",
     "InvalidCaseError",
     "InvariantFactors",
@@ -101,8 +93,6 @@ __all__ = [
     "commutator",
     "commutator_quotient",
     "coset_table",
-    "cross_check",
-    "difference_hom",
     "free_reduce",
     "freeness_check",
     "full_homology",
@@ -116,7 +106,6 @@ __all__ = [
     "rank_mod_p",
     "relation_matrix",
     "rewrite_relator",
-    "run_case",
     "schreier_transversal",
     "smith_normal_form",
     "subgroup_generated",

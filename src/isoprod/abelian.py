@@ -42,9 +42,6 @@ class FinAbGroup:
     def is_trivial(self) -> bool:
         return not self.orders
 
-    def exponent(self) -> int:
-        return lcm(*self.orders) if self.orders else 1
-
     def zero(self) -> "AbElement":
         return AbElement(self, (0,) * self.rank)
 

@@ -2,11 +2,14 @@
 
 Subcommands: ``list`` (catalog), ``compute`` (H_1 of a builtin case or a
 JSON case file, by either or both methods), ``verify`` (cross-check the
-builtin catalog), ``export`` (serialize a builtin case).  Where the cocycle
+builtin catalog), ``export`` (serialize a builtin case).  ``compute()`` is
+the one pipeline behind both ``compute`` and ``verify``.  Where the cocycle
 method does not apply, as for composite k, ``compute --method both`` runs
 the oracle alone and says on stderr why the cocycle method was skipped.
-Exit codes: 0 success, 1 validation failure or method mismatch, 2 usage or
-parse error.  All output is byte-deterministic for a given invocation.
+A valid case whose action is not free prints ``warning: action not free``
+to stderr and is never fatal.  Exit codes: 0 success, 1 validation failure
+or method mismatch, 2 usage or parse error.  All output is
+byte-deterministic for a given invocation.
 
 A case file is a single JSON object with keys ``group_orders`` (list of
 ints, each >= 2), ``phi`` and ``psi`` (lists of integer vectors, one per
@@ -23,11 +26,11 @@ from pathlib import Path
 from typing import Sequence
 
 from .abelian import FinAbGroup
-from .cocycle import cocycle_obstruction, cross_check, h1_cocycle
+from .cocycle import cocycle_obstruction, h1_cocycle
 from .families import CASE_ID_RANGE, CASE_IDS, FamilyCase, builtin_case, builtin_cases
 from .intlattice import InvariantFactors
 from .oracle import kernel_h1
-from .presentation import GeneratingSystem, InvalidCaseError, freeness_check
+from .presentation import GeneratingSystem, InvalidCaseError, freeness_check, require_valid
 
 METHOD_NAMES = ("paper", "oracle", "both")  # "paper" = the cocycle method
 
@@ -76,6 +79,10 @@ def parse_case_file(text: str) -> CaseFile:
         raise CaseFileError(
             f"line {exc.lineno} column {exc.colno}: {exc.msg}"
         ) from exc
+    except RecursionError:
+        raise CaseFileError("arrays or objects nested too deeply") from None
+    except ValueError as exc:  # an integer literal over sys.get_int_max_str_digits()
+        raise CaseFileError(str(exc)) from exc
     if not isinstance(doc, dict):
         raise CaseFileError("top level: expected a JSON object")
     known = {"group_orders", "phi", "psi", "label"}
@@ -157,7 +164,67 @@ def _load_case(argument: str) -> FamilyCase:
         raise CaseFileError(
             f"{argument}: not a case id ({CASE_ID_RANGE}) or a readable file"
         )
-    return case_from_file(parse_case_file(path.read_text(encoding="utf-8")))
+    try:
+        text = path.read_text(encoding="utf-8")
+    except UnicodeDecodeError as exc:
+        raise CaseFileError(
+            f"{argument}: not UTF-8 text ({exc.reason} at byte {exc.start})"
+        ) from exc
+    return case_from_file(parse_case_file(text))
+
+
+@dataclass(frozen=True)
+class HomologyReport:
+    """H_1 of one case by each method that ran.
+
+    ``h1`` maps "paper" (the cocycle method) and/or "oracle" to its answer;
+    ``skipped`` maps a requested method that did not run to the reason.
+    """
+
+    case: FamilyCase
+    action_free: bool
+    h1: dict[str, InvariantFactors]
+    skipped: dict[str, str]
+
+    @property
+    def agree(self) -> bool:
+        """False only when two methods ran and gave different answers."""
+        return len(set(self.h1.values())) <= 1
+
+
+def compute(case: FamilyCase, methods: Sequence[str] = ("paper", "oracle")) -> HomologyReport:
+    """Validate a case and compute H_1 by the requested methods.
+
+    This is the only code that runs both methods.  With both requested, a
+    case outside the cocycle method's scope (``cocycle_obstruction``) runs
+    the oracle alone and records why in ``skipped``; with "paper" alone it
+    raises ValueError.  An invalid generating system raises
+    InvalidCaseError; a non-free action is only recorded.
+    """
+    if not methods or not set(methods) <= {"paper", "oracle"}:
+        raise ValueError(f"methods must be drawn from 'paper' and 'oracle', got {methods!r}")
+    require_valid(case.phi)
+    require_valid(case.psi)
+    action_free = freeness_check(case.phi, case.psi)
+    h1: dict[str, InvariantFactors] = {}
+    skipped: dict[str, str] = {}
+    if "paper" in methods:
+        reason = cocycle_obstruction(case.phi, case.psi) if "oracle" in methods else None
+        if reason is None:
+            h1["paper"] = h1_cocycle(case.phi, case.psi)
+        else:
+            skipped["paper"] = reason
+    if "oracle" in methods:
+        h1["oracle"] = kernel_h1(case.phi, case.psi)
+    return HomologyReport(case, action_free, h1, skipped)
+
+
+def _warn(report: HomologyReport) -> None:
+    """The stderr notes every command prints for a report."""
+    if not report.action_free:
+        print("warning: action not free", file=sys.stderr)
+    if "paper" in report.skipped:
+        print(f"note: cocycle method skipped: {report.skipped['paper']}", file=sys.stderr)
 
 
 def _factor_dict(inv: InvariantFactors) -> dict:
@@ -174,31 +241,21 @@ def cmd_list(args: argparse.Namespace) -> int:
 
 
 def cmd_compute(args: argparse.Namespace) -> int:
-    case = _load_case(args.case)
-    if not freeness_check(case.phi, case.psi):
-        print("warning: action not free", file=sys.stderr)
-    results: dict[str, InvariantFactors] = {}
-    skip = cocycle_obstruction(case.phi, case.psi) if args.method == "both" else None
-    if skip is not None:
-        print(f"note: cocycle method skipped: {skip}", file=sys.stderr)
-    elif args.method in ("paper", "both"):
-        results["paper"] = h1_cocycle(case.phi, case.psi)
-    if args.method in ("oracle", "both"):
-        results["oracle"] = kernel_h1(case.phi, case.psi)
+    methods = ("paper", "oracle") if args.method == "both" else (args.method,)
+    report = compute(_load_case(args.case), methods)
+    _warn(report)
     if args.json:
         doc = {
-            "case": case.label,
-            "group_orders": list(case.group.orders),
-            "methods": {name: _factor_dict(inv) for name, inv in results.items()},
+            "case": report.case.label,
+            "group_orders": list(report.case.group.orders),
+            "methods": {name: _factor_dict(inv) for name, inv in report.h1.items()},
         }
         sys.stdout.write(json.dumps(doc, sort_keys=True) + "\n")
     else:
-        print(f"case: {case.label}")
-        if "paper" in results:
-            print(f"paper:  {results['paper']}")
-        if "oracle" in results:
-            print(f"oracle: {results['oracle']}")
-    if len(results) == 2 and results["paper"] != results["oracle"]:
+        print(f"case: {report.case.label}")
+        for name, inv in report.h1.items():
+            print(f"{name + ':':<8}{inv}")
+    if not report.agree:
         print("error: methods disagree", file=sys.stderr)
         return 1
     return 0
@@ -211,14 +268,13 @@ def cmd_verify(args: argparse.Namespace) -> int:
             raise CaseFileError(f"unknown case id {i}; the catalog has cases {CASE_ID_RANGE}")
     failed = False
     for i in ids:
-        case = builtin_case(i)
-        if not freeness_check(case.phi, case.psi):
-            print(f"case {i}: action not free")
-            failed = True
-            continue
-        report = cross_check(case.phi, case.psi)
-        print(f"case {i}: {report}")
-        if not report.match:
+        report = compute(builtin_case(i))
+        _warn(report)
+        if report.agree:
+            print(f"case {i}: MATCH  {report.h1['oracle']}")
+        else:
+            paper, oracle = report.h1["paper"], report.h1["oracle"]
+            print(f"case {i}: MISMATCH  cocycle={paper}  oracle={oracle}")
             failed = True
     return 1 if failed else 0
 

@@ -28,7 +28,6 @@ in the oracle module recomputes them by brute force for cross-checking.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Sequence
 
 from .abelian import AbElement, FinAbGroup, Wedge2, pairwise_wedge_sum, wedge
@@ -48,7 +47,6 @@ from .presentation import (
     Word,
     require_valid,
 )
-from .oracle import kernel_h1
 
 
 def cocycle_obstruction(phi: GeneratingSystem, psi: GeneratingSystem) -> str | None:
@@ -160,12 +158,11 @@ class ExtensionCocycle:
     live in the commutator quotient and are returned canonically reduced.
     """
 
-    def __init__(self, phi: GeneratingSystem, psi: GeneratingSystem,
-                 quotient: WedgeQuotient | None = None):
+    def __init__(self, phi: GeneratingSystem, psi: GeneratingSystem):
         self.k = _common_prime_order(phi, psi)
         self.phi = phi
         self.psi = psi
-        self.quotient = quotient if quotient is not None else commutator_quotient(phi, psi)
+        self.quotient = commutator_quotient(phi, psi)
         self.n = phi.n
         self.m = psi.n
         self.fab_group = FinAbGroup((self.k,) * (self.n - 1 + self.m - 1))
@@ -176,9 +173,6 @@ class ExtensionCocycle:
         self._wpsi = [
             [wedge(x, y).coeffs for y in psi.images[:-1]] for x in psi.images[:-1]
         ]
-
-    def fab_element(self, coeffs: Sequence[int]) -> AbElement:
-        return self.fab_group.element(coeffs)
 
     def split(self, z: AbElement) -> tuple[tuple[int, ...], tuple[int, ...]]:
         """(a-coordinates, b-coordinates) of an element of F^ab."""
@@ -348,32 +342,3 @@ def h1_cocycle(
         row[num_pairs + i] = k
         rows.append(row)
     return abelian_invariants(IntMatrix(rows, cols=num_pairs + len(basis)))
-
-
-@dataclass(frozen=True)
-class CrossCheckReport:
-    """Result of running both methods on one case."""
-
-    cocycle: InvariantFactors
-    oracle: InvariantFactors
-
-    @property
-    def match(self) -> bool:
-        return self.cocycle == self.oracle
-
-    def __str__(self) -> str:
-        if self.match:
-            return f"MATCH  {self.cocycle}"
-        return f"MISMATCH  cocycle={self.cocycle}  oracle={self.oracle}"
-
-
-def cross_check(phi: GeneratingSystem, psi: GeneratingSystem) -> CrossCheckReport:
-    """Run the cocycle method and the rewriting oracle; report both answers.
-
-    A disagreement is reported, not raised; validation failures propagate
-    identically from both methods.
-    """
-    return CrossCheckReport(
-        cocycle=h1_cocycle(phi, psi),
-        oracle=kernel_h1(phi, psi),
-    )

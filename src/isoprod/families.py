@@ -7,6 +7,7 @@ This module stores that catalog, plus derived bookkeeping: genera of the
 two curves (Riemann-Hurwitz), the topological Euler characteristic, and
 the full graded integral homology of the quotient surface, which follows
 from H_1 by duality and universal coefficients once chi = 4 and q = 0.
+It runs neither H_1 method; ``isoprod.cli.compute`` does.
 """
 
 from __future__ import annotations
@@ -14,14 +15,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .abelian import FinAbGroup
-from .cocycle import h1_cocycle
 from .intlattice import InvariantFactors
-from .oracle import kernel_h1
-from .presentation import (
-    GeneratingSystem,
-    freeness_check,
-    require_valid,
-)
+from .presentation import GeneratingSystem
 
 
 @dataclass(frozen=True)
@@ -159,65 +154,4 @@ def full_homology(h1: InvariantFactors) -> tuple[InvariantFactors, ...]:
         h1.with_free_rank(2),
         InvariantFactors(),
         InvariantFactors((), 1),
-    )
-
-
-class HomologyMismatchError(RuntimeError):
-    """The two independent methods disagreed; carries both answers."""
-
-    def __init__(self, cocycle: InvariantFactors, oracle: InvariantFactors):
-        super().__init__(f"method disagreement: cocycle={cocycle}, oracle={oracle}")
-        self.cocycle = cocycle
-        self.oracle = oracle
-
-
-@dataclass(frozen=True)
-class HomologyReport:
-    """Everything computed for one case; h1_cocycle and h1_oracle always agree."""
-
-    label: str
-    h1_cocycle: InvariantFactors
-    h1_oracle: InvariantFactors
-    genera: tuple[int, int]
-    chi_top: int
-    graded: tuple[InvariantFactors, ...]
-    action_free: bool
-
-    @property
-    def h1(self) -> InvariantFactors:
-        return self.h1_cocycle
-
-    def __str__(self) -> str:
-        lines = [
-            self.label,
-            f"  H_1 = {self.h1_cocycle} (both methods agree)",
-            f"  genera = {self.genera}, chi_top = {self.chi_top}, "
-            f"free action: {'yes' if self.action_free else 'no'}",
-        ]
-        for i, h in enumerate(self.graded):
-            lines.append(f"  H_{i} = {h}")
-        return "\n".join(lines)
-
-
-def run_case(case: FamilyCase) -> HomologyReport:
-    """Validate, run both methods, and assemble the full report.
-
-    Raises InvalidCaseError naming the failing condition, and
-    HomologyMismatchError if the two methods ever disagree.
-    """
-    require_valid(case.phi)
-    require_valid(case.psi)
-    cocycle_h1 = h1_cocycle(case.phi, case.psi)
-    oracle_h1 = kernel_h1(case.phi, case.psi)
-    if cocycle_h1 != oracle_h1:
-        raise HomologyMismatchError(cocycle_h1, oracle_h1)
-    chi_top, genera = surface_invariants(case)
-    return HomologyReport(
-        label=case.label,
-        h1_cocycle=cocycle_h1,
-        h1_oracle=oracle_h1,
-        genera=genera,
-        chi_top=chi_top,
-        graded=full_homology(cocycle_h1),
-        action_free=freeness_check(case.phi, case.psi),
     )

@@ -58,18 +58,6 @@ class CosetTable:
     def size(self) -> int:
         return len(self.cosets)
 
-    def position(self, letter: Letter) -> int:
-        try:
-            return self.positions[letter.factor, letter.index]
-        except KeyError:
-            raise KeyError(f"unknown generator {letter}") from None
-
-    def step(self, coset: int, letter: Letter) -> int:
-        p = self.position(letter)
-        if letter.sign == 1:
-            return self.moves[p][coset]
-        return self.inverse_moves[p][coset]
-
 
 def coset_table(
     pres: ProductPresentation,

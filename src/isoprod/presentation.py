@@ -79,9 +79,6 @@ class Word:
         """Total exponent of the given generator."""
         return sum(l.sign for l in self.letters if l.factor == factor and l.index == index)
 
-    def factors_used(self) -> set[str]:
-        return {l.factor for l in self.letters}
-
     def free_reduce(self) -> "Word":
         return free_reduce(self)
 
@@ -175,8 +172,8 @@ class ProductPresentation:
 class GeneratingSystem:
     """Generator images in a finite abelian group, with declared branch order k.
 
-    Valid systems have images of order exactly k that generate the group and
-    sum to zero; see validate_generating_system.  ``validation`` holds the
+    Valid systems have at least 3 images, of order exactly k, that generate
+    the group and sum to zero; see validate_generating_system.  ``validation`` holds the
     report, computed on first use and kept for the life of the object.
     """
 
@@ -202,17 +199,6 @@ class GeneratingSystem:
     def validation(self) -> "ValidationReport":
         """validate_generating_system(self), computed once per object."""
         return validate_generating_system(self)
-
-    def evaluate(self, word: Word) -> AbElement:
-        """Image of a word in this factor (letters of any single tag)."""
-        total = self.group.zero()
-        for letter in word:
-            if letter.index > self.n:
-                raise IndexError(
-                    f"letter {letter} out of range for {self.n} generators"
-                )
-            total = total + letter.sign * self.images[letter.index - 1]
-        return total
 
 
 @dataclass(frozen=True)
@@ -241,7 +227,7 @@ class InvalidCaseError(ValueError):
 
 
 def validate_generating_system(sys: GeneratingSystem) -> ValidationReport:
-    """Check product-zero, generation, and that every image has order k.
+    """Check image count (>= 3), product-zero, generation, and that every image has order k.
 
     The images generate G exactly when the cokernel of the matrix whose rows
     are their coefficient vectors, with the cyclic orders of G appended as
@@ -252,6 +238,8 @@ def validate_generating_system(sys: GeneratingSystem) -> ValidationReport:
     failures: list[str] = []
     if not sys.images:
         return ValidationReport(("empty generating system",))
+    if sys.n < 3:
+        failures.append(f"need at least 3 images, got {sys.n}")
     total = sys.group.zero()
     for img in sys.images:
         total = total + img
@@ -312,10 +300,6 @@ class DifferenceMap:
 
     def is_surjective(self) -> bool:
         return len(subgroup_generated(self.group, self.generator_images())) == self.group.order()
-
-
-def difference_hom(phi: GeneratingSystem, psi: GeneratingSystem) -> DifferenceMap:
-    return DifferenceMap(phi, psi)
 
 
 def _nonzero_cyclic_union(images: Iterable[AbElement]) -> set[tuple[int, ...]]:

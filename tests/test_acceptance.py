@@ -20,7 +20,6 @@ from isoprod import (
     builtin_cases,
     commutator,
     commutator_quotient,
-    cross_check,
     freeness_check,
     gen,
     h1_cocycle,
@@ -30,6 +29,7 @@ from isoprod import (
     surface_invariants,
     wedge_relator,
 )
+from isoprod.cli import compute
 from isoprod.cocycle import ExtensionCocycle
 from conftest import random_admissible_word, random_word
 
@@ -63,9 +63,10 @@ def test_criterion_1_theorem_reproduction_cocycle_method():
 def test_criterion_2_oracle_agreement():
     start = time.perf_counter()
     oracle = {i: kernel_h1(c.phi, c.psi) for i, c in enumerate(builtin_cases(), 1)}
-    checks = [cross_check(c.phi, c.psi) for c in builtin_cases()]
+    reports = [compute(c) for c in builtin_cases()]
     elapsed = time.perf_counter() - start
-    ok = oracle == EXPECTED_H1 and all(ch.match for ch in checks) and elapsed < 10.0
+    ok = oracle == EXPECTED_H1 and all(r.agree and len(r.h1) == 2 for r in reports) \
+        and elapsed < 10.0
     report(
         "criterion 2: rewriting oracle agrees on all four cases",
         ok,

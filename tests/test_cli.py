@@ -11,7 +11,7 @@ from isoprod.cli import (
     main,
     parse_case_file,
 )
-from isoprod import builtin_case
+from isoprod import InvariantFactors, builtin_case
 
 # A valid case with composite k = 4, outside the cocycle method's scope.
 COMPOSITE_K = {"group_orders": [4], "phi": [[1], [1], [1], [1]], "psi": [[1], [3], [1], [3]]}
@@ -146,6 +146,20 @@ class TestFailureModes:
         assert "action not free" in err
         assert "paper:" in out and "oracle:" in out
 
+    def test_method_disagreement_exits_one(self, capsys, monkeypatch):
+        import isoprod.cli as cli
+
+        monkeypatch.setattr(cli, "kernel_h1", lambda phi, psi: InvariantFactors((7,)))
+        code, out, err = run_cli(capsys, "compute", "4")
+        assert code == 1 and err == "error: methods disagree\n"
+        assert out.splitlines()[1:] == ["paper:  Z/5 ⊕ Z/5 ⊕ Z/5", "oracle: Z/7"]
+        code, out, _ = run_cli(capsys, "verify", "3", "4")
+        assert code == 1
+        assert out.splitlines() == [
+            "case 3: MISMATCH  cocycle=Z/3 ⊕ Z/3 ⊕ Z/3 ⊕ Z/3 ⊕ Z/3  oracle=Z/7",
+            "case 4: MISMATCH  cocycle=Z/5 ⊕ Z/5 ⊕ Z/5  oracle=Z/7",
+        ]
+
     def test_invalid_case_exits_one(self, capsys, tmp_path):
         doc = {
             "group_orders": [2, 2],
@@ -189,6 +203,30 @@ class TestFailureModes:
         code, _, err = run_cli(capsys, "compute", str(path))
         assert code == 2
         assert "group_orders[0]" in err
+
+    @pytest.mark.parametrize("method", ["paper", "oracle", "both"])
+    def test_fewer_than_three_images_fails_for_every_method(self, capsys, tmp_path, method):
+        path = tmp_path / "two.json"
+        doc = {"group_orders": [3], "phi": [[1], [2]], "psi": [[1], [1], [1]]}
+        path.write_text(json.dumps(doc), encoding="utf-8")
+        code, out, err = run_cli(capsys, "compute", str(path), "--method", method)
+        assert (code, out, err) == (1, "", "error: need at least 3 images, got 2\n")
+
+    @pytest.mark.parametrize(
+        "content, message",
+        [
+            (b"[" * 100000, "nested too deeply"),
+            (b'{"group_orders": [3], "label": "\xff"}', "not UTF-8"),
+            (b'{"group_orders": [' + b"1" * 5000 + b'], "phi": [], "psi": []}', "4300 digits"),
+        ],
+        ids=["deep-nesting", "non-utf8", "long-integer"],
+    )
+    def test_unreadable_case_file_exits_two(self, capsys, tmp_path, content, message):
+        path = tmp_path / "bad.json"
+        path.write_bytes(content)
+        code, out, err = run_cli(capsys, "compute", str(path))
+        assert code == 2 and out == ""
+        assert err.startswith("error: ") and message in err
 
     def test_parse_error_exits_two(self, capsys, tmp_path):
         path = tmp_path / "bad.json"

@@ -13,7 +13,6 @@ from isoprod import (
     builtin_case,
     commutator,
     commutator_quotient,
-    cross_check,
     gen,
     h1_cocycle,
     kernel_basis,
@@ -21,7 +20,9 @@ from isoprod import (
     wedge,
     wedge_relator,
 )
+from isoprod.cli import compute
 from isoprod.cocycle import ExtensionCocycle
+from isoprod.families import FamilyCase
 from conftest import random_admissible_word, random_valid_system, random_word
 
 KNOWN_H1 = {
@@ -345,13 +346,16 @@ class TestH1Cocycle:
             h1_cocycle(case.phi, broken)
 
 
+def pair_case(phi, psi):
+    return FamilyCase(id=None, label="pair", group=phi.group, k=phi.k, phi=phi, psi=psi)
+
+
 class TestCrossCheck:
     def test_builtin_cases_match(self, cases):
         for case in cases:
-            report = cross_check(case.phi, case.psi)
-            assert report.match
-            assert report.cocycle == KNOWN_H1[case.id]
-            assert "MATCH" in str(report)
+            report = compute(case)
+            assert report.agree
+            assert report.h1["paper"] == report.h1["oracle"] == KNOWN_H1[case.id]
 
     def test_random_systems_agree_with_oracle(self):
         rng = random.Random(37)
@@ -360,7 +364,8 @@ class TestCrossCheck:
             for _ in range(8):
                 phi = random_valid_system(rng, group, k, rng.randint(3, 5))
                 psi = random_valid_system(rng, group, k, rng.randint(3, 5))
-                assert cross_check(phi, psi).match
+                report = compute(pair_case(phi, psi))
+                assert set(report.h1) == {"paper", "oracle"} and report.agree
 
     def test_oracle_total_order_matches_extension_data(self, cases):
         for case in cases:
@@ -374,5 +379,5 @@ class TestCrossCheck:
         phi = GeneratingSystem(T, (T.zero(),) * 3, 2)
         psi = GeneratingSystem(T, (T.zero(),) * 3, 2)
         with pytest.raises(InvalidCaseError):
-            cross_check(phi, psi)
+            compute(pair_case(phi, psi))
         assert kernel_h1(phi, psi) == InvariantFactors((2, 2, 2, 2))

@@ -7,11 +7,10 @@ from isoprod import (
     freeness_check,
     full_homology,
     genus,
-    run_case,
     surface_invariants,
     validate_generating_system,
 )
-from isoprod.cli import case_from_file, case_to_file, case_file_json, parse_case_file
+from isoprod.cli import case_from_file, case_to_file, case_file_json, compute, parse_case_file
 
 KNOWN_H1 = {
     1: InvariantFactors((2, 2, 2, 2, 4, 4)),
@@ -110,20 +109,26 @@ class TestFullHomology:
 
     def test_betti_numbers_sum_to_chi(self):
         for case in builtin_cases():
-            report = run_case(case)
-            betti = [h.free_rank for h in report.graded]
-            assert sum(b * (-1) ** i for i, b in enumerate(betti)) == report.chi_top == 4
+            chi_top, _ = surface_invariants(case)
+            betti = [h.free_rank for h in full_homology(compute(case).h1["paper"])]
+            assert sum(b * (-1) ** i for i, b in enumerate(betti)) == chi_top == 4
 
 
 class TestRunCase:
     @pytest.mark.parametrize("case_id", [1, 2, 3, 4])
     def test_reports(self, case_id):
-        report = run_case(builtin_case(case_id))
-        assert report.h1_cocycle == report.h1_oracle == KNOWN_H1[case_id]
-        assert report.genera == KNOWN_GENERA[case_id]
-        assert report.chi_top == 4
+        case = builtin_case(case_id)
+        report = compute(case)
+        assert report.case is case
+        assert report.h1 == {"paper": KNOWN_H1[case_id], "oracle": KNOWN_H1[case_id]}
+        assert report.agree and report.skipped == {}
+        assert surface_invariants(case) == (4, KNOWN_GENERA[case_id])
         assert report.action_free
-        assert str(KNOWN_H1[case_id]) in str(report)
+        assert full_homology(report.h1["paper"])[1] == KNOWN_H1[case_id]
+
+    def test_unknown_method_rejected(self):
+        with pytest.raises(ValueError, match="methods"):
+            compute(builtin_case(3), ("oracel",))
 
     def test_h1_order_bookkeeping(self):
         # |H_1| = k^(pairs - relator rank) * k^((n-1)+(m-1)-s)
@@ -131,11 +136,11 @@ class TestRunCase:
 
         for case in builtin_cases():
             q = commutator_quotient(case.phi, case.psi)
-            report = run_case(case)
+            report = compute(case)
             s = case.group.rank
             expected = case.k ** (q.num_pairs - q.relator_rank) \
                 * case.k ** (case.n - 1 + case.m - 1 - s)
-            assert report.h1.order() == expected
+            assert report.h1["paper"].order() == expected
 
 
 class TestRoundTrip:

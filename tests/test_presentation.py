@@ -6,20 +6,19 @@ from hypothesis import strategies as st
 
 import isoprod.presentation as presentation
 from isoprod import (
+    DifferenceMap,
     FinAbGroup,
     GeneratingSystem,
     OrbifoldPresentation,
     ProductPresentation,
     Word,
     builtin_case,
-    difference_hom,
     free_reduce,
     freeness_check,
-    run_case,
     subgroup_generated,
     validate_generating_system,
 )
-from isoprod.cli import main
+from isoprod.cli import compute, main
 from conftest import random_valid_system, random_word
 
 # Cyclic, mixed, non-prime, elementary and trivial targets.
@@ -110,61 +109,64 @@ class TestPresentations:
 class TestEvaluate:
     def test_case4_long_product_is_zero(self):
         case = builtin_case(4)
-        assert case.phi.evaluate(Word.parse("a1 a2 a3")).is_zero()
+        assert DifferenceMap(case.phi, case.psi).evaluate(Word.parse("a1 a2 a3")).is_zero()
 
     def test_empty_word(self):
         case = builtin_case(1)
-        assert case.phi.evaluate(Word()).is_zero()
+        assert DifferenceMap(case.phi, case.psi).evaluate(Word()).is_zero()
 
     def test_case2_psi_product(self):
         case = builtin_case(2)
-        # Componentwise sum of psi(b3) and psi(b4) mod 2, computed independently.
+        # Componentwise sum of psi(b3) and psi(b4) mod 2, computed independently;
+        # the map sends b-letters to -psi, so its value is negated back.
         expected = [
             (x + y) % 2
             for x, y in zip(case.psi.images[2].coeffs, case.psi.images[3].coeffs)
         ]
-        assert case.psi.evaluate(Word.parse("b3 b4")).coeffs == tuple(expected)
+        value = DifferenceMap(case.phi, case.psi).evaluate(Word.parse("b3 b4"))
+        assert (-value).coeffs == tuple(expected)
 
     def test_out_of_range_rejected(self):
         case = builtin_case(4)
         with pytest.raises(IndexError):
-            case.phi.evaluate(Word.parse("a4"))
+            DifferenceMap(case.phi, case.psi).evaluate(Word.parse("a4"))
 
     def test_reduction_preserves_value(self):
         rng = random.Random(19)
         case = builtin_case(3)
+        diff = DifferenceMap(case.phi, case.psi)
         for _ in range(50):
             w = random_word(rng, "a", case.n, rng.randint(0, 10))
-            assert case.phi.evaluate(free_reduce(w)) == case.phi.evaluate(w)
+            assert diff.evaluate(free_reduce(w)) == diff.evaluate(w)
 
 
 class TestDifferenceMap:
     def test_case3_mixed_word(self):
         case = builtin_case(3)
-        diff = difference_hom(case.phi, case.psi)
+        diff = DifferenceMap(case.phi, case.psi)
         # e1 - (e1 + e2) = -e2 = 2 e2
         assert diff.evaluate(Word.parse("a1 b1")) == 2 * case.group.basis()[1]
 
     def test_case1_kernel_word(self):
         case = builtin_case(1)
-        diff = difference_hom(case.phi, case.psi)
+        diff = DifferenceMap(case.phi, case.psi)
         assert diff.evaluate(Word.parse("a1 a4")).is_zero()
 
     def test_empty(self):
         case = builtin_case(2)
-        assert difference_hom(case.phi, case.psi).evaluate(Word()).is_zero()
+        assert DifferenceMap(case.phi, case.psi).evaluate(Word()).is_zero()
 
     def test_all_relators_die(self, cases):
         for case in cases:
             pres = ProductPresentation(case.phi.presentation(), case.psi.presentation())
-            diff = difference_hom(case.phi, case.psi)
+            diff = DifferenceMap(case.phi, case.psi)
             for relator in pres.relators():
                 assert diff.evaluate(relator).is_zero()
 
     def test_group_mismatch_rejected(self):
         case1, case3 = builtin_case(1), builtin_case(3)
         with pytest.raises(ValueError):
-            difference_hom(case1.phi, case3.psi)
+            DifferenceMap(case1.phi, case3.psi)
 
 
 class TestValidation:
@@ -233,13 +235,13 @@ class TestValidateOnce:
         assert validated[0] is not validated[1]
 
     def test_run_case_validates_each_system_once(self, validated):
-        run_case(builtin_case(1))
+        compute(builtin_case(1))
         assert len(validated) == 2
 
     def test_no_cache_outlives_the_object(self, validated, capsys):
         first, second = builtin_case(1), builtin_case(1)
-        run_case(first)
-        run_case(second)
+        compute(first)
+        compute(second)
         assert len(validated) == 4
         assert main(["compute", "1", "--json"]) == 0
         assert main(["compute", "1", "--json"]) == 0
