@@ -11,6 +11,7 @@ from __future__ import annotations
 
 from itertools import combinations, product
 from math import gcd, lcm, prod
+from operator import mod
 from typing import Iterable, Iterator, Sequence
 
 
@@ -24,13 +25,14 @@ class FinAbGroup:
     (8, 3)
     """
 
-    __slots__ = ("orders",)
+    __slots__ = ("orders", "_pairs")
 
     def __init__(self, orders: Iterable[int] = ()):
         orders = tuple(int(k) for k in orders)
         if any(k < 2 for k in orders):
             raise ValueError(f"cyclic orders must all be >= 2, got {orders}")
         self.orders = orders
+        self._pairs = None
 
     @property
     def rank(self) -> int:
@@ -58,22 +60,44 @@ class FinAbGroup:
         for coeffs in product(*(range(k) for k in self.orders)):
             yield AbElement(self, coeffs)
 
+    def _pair_table(self) -> tuple[tuple[tuple[int, int], ...], tuple[int, ...], dict]:
+        """(pairs, pair orders, position of each pair), built on first use.
+
+        A group never changes after construction, so the table is kept for
+        the life of the object.
+        """
+        if self._pairs is None:
+            pairs = tuple(combinations(range(self.rank), 2))
+            orders = tuple(gcd(self.orders[i], self.orders[j]) for i, j in pairs)
+            self._pairs = pairs, orders, {p: t for t, p in enumerate(pairs)}
+        return self._pairs
+
     def pair_indices(self) -> tuple[tuple[int, int], ...]:
         """Basis index pairs (i, j), i < j, of the exterior square."""
-        return tuple(combinations(range(self.rank), 2))
+        return self._pair_table()[0]
 
     def pair_orders(self) -> tuple[int, ...]:
-        return tuple(gcd(self.orders[i], self.orders[j]) for i, j in self.pair_indices())
+        return self._pair_table()[1]
 
-    def wedge_zero(self) -> "Wedge2":
-        return Wedge2(self, (0,) * len(self.pair_indices()))
+    def _pair_position(self, i: int, j: int) -> int:
+        """Position of the basis pair (i, j), i < j, in pair_indices()."""
+        try:
+            return self._pair_table()[2][i, j]
+        except KeyError:
+            raise ValueError(f"({i}, {j}) is not a basis pair of rank {self.rank}") from None
+
+    def wedge_coefficients(self, x: Sequence[int], y: Sequence[int]) -> tuple[int, ...]:
+        """Coefficients of x ^ y for coefficient vectors x, y, not yet reduced.
+
+        Reducing entry t modulo pair_orders()[t] gives the Wedge2 coefficients.
+        """
+        return tuple(x[i] * y[j] - x[j] * y[i] for i, j in self._pair_table()[0])
 
     def wedge_basis_element(self, i: int, j: int) -> "Wedge2":
         """The basis element e_i ^ e_j (0-based, i < j)."""
-        pairs = self.pair_indices()
-        if (i, j) not in pairs:
-            raise ValueError(f"({i}, {j}) is not a basis pair of rank {self.rank}")
-        return Wedge2(self, tuple(int(p == (i, j)) for p in pairs))
+        coeffs = [0] * len(self.pair_indices())
+        coeffs[self._pair_position(i, j)] = 1
+        return Wedge2(self, coeffs)
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, FinAbGroup):
@@ -96,7 +120,7 @@ class FinAbGroup:
 
 
 def _check_same_group(x, y) -> None:
-    if x.group != y.group:
+    if x.group is not y.group and x.group != y.group:
         raise ValueError(f"operands live in different groups: {x.group} vs {y.group}")
 
 
@@ -106,11 +130,11 @@ class AbElement:
     __slots__ = ("group", "coeffs")
 
     def __init__(self, group: FinAbGroup, coeffs: Iterable[int]):
-        coeffs = tuple(int(c) for c in coeffs)
+        coeffs = tuple(map(int, coeffs))
         if len(coeffs) != group.rank:
             raise ValueError(f"expected {group.rank} coefficients, got {len(coeffs)}")
         self.group = group
-        self.coeffs = tuple(c % k for c, k in zip(coeffs, group.orders))
+        self.coeffs = tuple(map(mod, coeffs, group.orders))
 
     def is_zero(self) -> bool:
         return not any(self.coeffs)
@@ -164,12 +188,12 @@ class Wedge2:
     __slots__ = ("group", "coeffs")
 
     def __init__(self, group: FinAbGroup, coeffs: Iterable[int]):
-        coeffs = tuple(int(c) for c in coeffs)
+        coeffs = tuple(map(int, coeffs))
         orders = group.pair_orders()
         if len(coeffs) != len(orders):
             raise ValueError(f"expected {len(orders)} coefficients, got {len(coeffs)}")
         self.group = group
-        self.coeffs = tuple(c % k for c, k in zip(coeffs, orders))
+        self.coeffs = tuple(map(mod, coeffs, orders))
 
     def is_zero(self) -> bool:
         return not any(self.coeffs)
@@ -178,11 +202,10 @@ class Wedge2:
         """Signed coefficient on e_i ^ e_j for arbitrary index order."""
         if i == j:
             return 0
-        pairs = self.group.pair_indices()
         if i < j:
-            return self.coeffs[pairs.index((i, j))]
-        k = self.group.pair_orders()[pairs.index((j, i))]
-        return (-self.coeffs[pairs.index((j, i))]) % k
+            return self.coeffs[self.group._pair_position(i, j)]
+        t = self.group._pair_position(j, i)
+        return (-self.coeffs[t]) % self.group.pair_orders()[t]
 
     def __add__(self, other: "Wedge2") -> "Wedge2":
         _check_same_group(self, other)
@@ -231,22 +254,28 @@ def wedge(x: AbElement, y: AbElement) -> Wedge2:
     'e1^e2'
     """
     _check_same_group(x, y)
-    g = x.group
-    return Wedge2(
-        g,
-        (x.coeffs[i] * y.coeffs[j] - x.coeffs[j] * y.coeffs[i] for i, j in g.pair_indices()),
-    )
+    return Wedge2(x.group, x.group.wedge_coefficients(x.coeffs, y.coeffs))
 
 
 def pairwise_wedge_sum(images: Sequence[AbElement], multiplier: int = 1) -> Wedge2:
-    """multiplier * sum of images[i] ^ images[j] over all i < j."""
+    """multiplier * sum of images[i] ^ images[j] over all i < j.
+
+    By bilinearity the sum is that of (images[0] + ... + images[j-1]) ^ images[j]
+    over j, so it takes one wedge per image on plain coefficient lists.
+    """
     if not images:
         raise ValueError("need at least one element to infer the group")
-    total = images[0].group.wedge_zero()
-    for i in range(len(images)):
-        for j in range(i + 1, len(images)):
-            total = total + wedge(images[i], images[j])
-    return multiplier * total
+    if not isinstance(multiplier, int):
+        raise TypeError(f"multiplier must be an int, got {type(multiplier).__name__}")
+    first = images[0]
+    group = first.group
+    prefix = first.coeffs
+    total = [0] * len(group.pair_indices())
+    for y in images[1:]:
+        _check_same_group(first, y)
+        total = [t + w for t, w in zip(total, group.wedge_coefficients(prefix, y.coeffs))]
+        prefix = [p + c for p, c in zip(prefix, y.coeffs)]
+    return Wedge2(group, [multiplier * t for t in total])
 
 
 def subgroup_generated(group: FinAbGroup, elements: Iterable[AbElement]) -> frozenset[AbElement]:

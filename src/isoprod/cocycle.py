@@ -30,7 +30,7 @@ from __future__ import annotations
 
 from typing import Sequence
 
-from .abelian import AbElement, FinAbGroup, Wedge2, pairwise_wedge_sum, wedge
+from .abelian import AbElement, FinAbGroup, Wedge2, pairwise_wedge_sum
 from .intlattice import (
     IntMatrix,
     InvariantFactors,
@@ -127,7 +127,11 @@ class WedgeQuotient:
         """Canonical representative of w modulo the relator span."""
         if w.group != self.group:
             raise ValueError("element from a different group")
-        v = list(w.coeffs)
+        return self._reduce_coeffs(w.coeffs)
+
+    def _reduce_coeffs(self, coeffs: Sequence[int]) -> Wedge2:
+        """reduce() of the element with these (not necessarily reduced) coefficients."""
+        v = list(coeffs)
         for row, c in zip(self._echelon, self._pivots):
             f = v[c] % self.k
             if f:
@@ -167,12 +171,14 @@ class ExtensionCocycle:
         self.m = psi.n
         self.fab_group = FinAbGroup((self.k,) * (self.n - 1 + self.m - 1))
         # Pairwise wedges of generator images, as plain coefficient tuples.
-        self._wphi = [
-            [wedge(x, y).coeffs for y in phi.images[:-1]] for x in phi.images[:-1]
-        ]
-        self._wpsi = [
-            [wedge(x, y).coeffs for y in psi.images[:-1]] for x in psi.images[:-1]
-        ]
+        self._wphi = self._wedge_table(phi)
+        self._wpsi = self._wedge_table(psi)
+
+    @staticmethod
+    def _wedge_table(system: GeneratingSystem) -> list[list[tuple[int, ...]]]:
+        """Coefficients of x ^ y for x, y among the first n-1 images."""
+        coeffs = [img.coeffs for img in system.images[:-1]]
+        return [[system.group.wedge_coefficients(x, y) for y in coeffs] for x in coeffs]
 
     def split(self, z: AbElement) -> tuple[tuple[int, ...], tuple[int, ...]]:
         """(a-coordinates, b-coordinates) of an element of F^ab."""
@@ -246,7 +252,7 @@ class ExtensionCocycle:
                         coef = orientation * sr * ss
                         for t, w in enumerate(table[ir][i_s]):
                             acc[t] += coef * w
-        return self.quotient.reduce(Wedge2(self.phi.group, acc))
+        return self.quotient._reduce_coeffs(acc)
 
     def __call__(self, z1: AbElement, z2: AbElement) -> Wedge2:
         """Cocycle value <z1, z2>, a bilinear form with values in the quotient.
@@ -268,7 +274,7 @@ class ExtensionCocycle:
                     if coef:
                         for t, w in enumerate(table[i][j]):
                             acc[t] += coef * w
-        return self.quotient.reduce(Wedge2(self.phi.group, acc))
+        return self.quotient._reduce_coeffs(acc)
 
 
 def kernel_basis(phi: GeneratingSystem, psi: GeneratingSystem) -> list[AbElement]:
@@ -282,7 +288,7 @@ def kernel_basis(phi: GeneratingSystem, psi: GeneratingSystem) -> list[AbElement
     require_valid(phi)
     require_valid(psi)
     cols = [img.coeffs for img in phi.images[:-1]] + [
-        (-img).coeffs for img in psi.images[:-1]
+        tuple(-c for c in img.coeffs) for img in psi.images[:-1]
     ]
     matrix = IntMatrix(
         [[col[r] for col in cols] for r in range(phi.group.rank)],
@@ -337,8 +343,8 @@ def h1_cocycle(
     for relator in ext.quotient.relators:
         rows.append(list(relator.coeffs) + [0] * len(basis))
     for i, c in enumerate(basis):
-        value = half * ext(c, c)  # k * f_i + (k(k-1)/2) <c_i, c_i> = 0
-        row = list(value.coeffs) + [0] * len(basis)
+        # k * f_i + (k(k-1)/2) <c_i, c_i> = 0
+        row = [half * w % k for w in ext(c, c).coeffs] + [0] * len(basis)
         row[num_pairs + i] = k
         rows.append(row)
     return abelian_invariants(IntMatrix(rows, cols=num_pairs + len(basis)))

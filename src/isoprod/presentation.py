@@ -240,9 +240,7 @@ def validate_generating_system(sys: GeneratingSystem) -> ValidationReport:
         return ValidationReport(("empty generating system",))
     if sys.n < 3:
         failures.append(f"need at least 3 images, got {sys.n}")
-    total = sys.group.zero()
-    for img in sys.images:
-        total = total + img
+    total = sys.group.element(map(sum, zip(*(img.coeffs for img in sys.images))))
     if not total.is_zero():
         failures.append(f"images sum to {total}, not zero")
     span = IntMatrix([img.coeffs for img in sys.images], cols=sys.group.rank)
@@ -305,10 +303,14 @@ class DifferenceMap:
 def _nonzero_cyclic_union(images: Iterable[AbElement]) -> set[tuple[int, ...]]:
     """Coefficients of the multiples j*x, 1 <= j < ord(x), of each image x."""
     union: set[tuple[int, ...]] = set()
-    for img in set(images):
+    for img in images:
+        if img.coeffs in union:  # its multiples are in already
+            continue
         orders = img.group.orders
-        for j in range(1, img.order()):
-            union.add(tuple(j * c % k for c, k in zip(img.coeffs, orders)))
+        multiple = img.coeffs
+        while any(multiple):
+            union.add(multiple)
+            multiple = tuple((a + c) % k for a, c, k in zip(multiple, img.coeffs, orders))
     return union
 
 

@@ -1,8 +1,9 @@
 import random
+from itertools import combinations
 
 import pytest
 
-from isoprod import FinAbGroup, GeneratingSystem, builtin_cases
+from isoprod import FinAbGroup, GeneratingSystem, Wedge2, builtin_cases
 from isoprod.presentation import Letter, Word, validate_generating_system
 
 
@@ -43,3 +44,20 @@ def random_admissible_word(rng: random.Random, factor: str, count: int, k: int,
         d = w.degree(factor, i) % k
         base.extend(Letter(factor, i, -1) for _ in range(d))
     return Word(tuple(base))
+
+
+def reference_wedge(x, y):
+    """x ^ y built term by term: one Wedge2 basis element per pair, added up.
+
+    Independent of the pair tables that wedge() reads: the basis pairs are
+    enumerated here afresh.
+    """
+    group = x.group
+    if y.group != group:
+        raise ValueError("reference wedge of elements from different groups")
+    pairs = list(combinations(range(group.rank), 2))
+    total = Wedge2(group, [0] * len(pairs))
+    for i, j in pairs:
+        term = Wedge2(group, [int(p == (i, j)) for p in pairs])
+        total = total + (x.coeffs[i] * y.coeffs[j] - x.coeffs[j] * y.coeffs[i]) * term
+    return total

@@ -1,5 +1,6 @@
 import random
 from itertools import combinations
+from math import gcd
 
 import pytest
 from hypothesis import given, settings
@@ -13,6 +14,7 @@ from isoprod import (
     subgroup_generated,
     wedge,
 )
+from conftest import reference_wedge
 
 
 def random_element(rng, group):
@@ -142,6 +144,95 @@ class TestWedge:
         G = FinAbGroup((2, 2))
         with pytest.raises(ValueError):
             Wedge2(G, (1, 2))  # rank 2 has a single pair
+
+
+# Prime and composite orders, pair orders that are gcds, and ranks 0 and 1.
+DIFF_GROUPS = [(3,), (2, 4), (4, 6), (2, 4, 8), (2, 2, 2), (5,), ()]
+
+
+def elements_of(group: FinAbGroup):
+    return st.tuples(*(st.integers(-10, 10) for _ in group.orders)).map(group.element)
+
+
+def reference_pairwise_sum(images, multiplier):
+    group = images[0].group
+    total = Wedge2(group, [0] * len(group.pair_indices()))
+    for i in range(len(images)):
+        for j in range(i + 1, len(images)):
+            total = total + reference_wedge(images[i], images[j])
+    return multiplier * total
+
+
+class TestTupleWedgeDifferential:
+    """wedge() and pairwise_wedge_sum() against sums of Wedge2 basis terms."""
+
+    @pytest.mark.parametrize("orders", DIFF_GROUPS)
+    def test_pair_table(self, orders):
+        G = FinAbGroup(orders)
+        pairs = tuple(combinations(range(len(orders)), 2))
+        assert G.pair_indices() == pairs
+        assert G.pair_orders() == tuple(gcd(orders[i], orders[j]) for i, j in pairs)
+        assert G.pair_indices() is G.pair_indices()  # built once per group
+        for t, (i, j) in enumerate(pairs):
+            basis = G.wedge_basis_element(i, j)
+            assert basis.coeffs == tuple(int(s == t) for s in range(len(pairs)))
+            assert basis.coefficient(i, j) == 1 % G.pair_orders()[t]
+            assert basis.coefficient(j, i) == -1 % G.pair_orders()[t]
+        with pytest.raises(ValueError, match="not a basis pair"):
+            G.wedge_basis_element(len(orders), len(orders) + 1)
+        with pytest.raises(ValueError, match="not a basis pair"):
+            G.wedge_basis_element(1, 0)
+
+    @given(st.data())
+    @settings(max_examples=150, deadline=None)
+    def test_wedge(self, data):
+        G = FinAbGroup(data.draw(st.sampled_from(DIFF_GROUPS)))
+        x, y = data.draw(elements_of(G)), data.draw(elements_of(G))
+        w, ref = wedge(x, y), reference_wedge(x, y)
+        assert w == ref
+        for t, (i, j) in enumerate(combinations(range(G.rank), 2)):
+            assert w.coefficient(i, j) == ref.coeffs[t]
+            assert w.coefficient(j, i) == -ref.coeffs[t] % G.pair_orders()[t]
+        assert all(w.coefficient(i, i) == 0 for i in range(G.rank))
+
+    @given(st.data())
+    @settings(max_examples=150, deadline=None)
+    def test_pairwise_wedge_sum(self, data):
+        orders = data.draw(st.sampled_from(DIFF_GROUPS))
+        G = FinAbGroup(orders)
+        images = data.draw(st.lists(elements_of(G), min_size=1, max_size=6))
+        triangular = [k * (k - 1) // 2 for k in orders]
+        multiplier = data.draw(st.sampled_from([0, 1, -1, -5] + triangular))
+        expected = reference_pairwise_sum(images, multiplier)
+        assert pairwise_wedge_sum(images, multiplier) == expected
+        if multiplier == 1:
+            assert pairwise_wedge_sum(images) == expected
+
+    def test_pairwise_sum_needs_an_image_and_an_int_multiplier(self):
+        G = FinAbGroup((2, 4))
+        with pytest.raises(ValueError, match="at least one element"):
+            pairwise_wedge_sum([])
+        with pytest.raises(TypeError):
+            pairwise_wedge_sum(G.basis(), 1.0)
+
+    def test_equal_groups_built_apart_mix(self):
+        x = FinAbGroup((2, 4)).element((1, 3))
+        y = FinAbGroup((2, 4)).element((1, 1))
+        assert wedge(x, y) == reference_wedge(x, y)
+        assert pairwise_wedge_sum([x, y, x]) == reference_pairwise_sum([x, y, x], 1)
+
+    @pytest.mark.parametrize("orders, other", [((2, 4), (4, 2)), ((3,), (3, 3)), ((), (2,))])
+    def test_different_groups_rejected(self, orders, other):
+        G, H = FinAbGroup(orders), FinAbGroup(other)
+        x, y = G.zero(), H.zero()
+        for bad in ((x, y), (y, x)):
+            with pytest.raises(ValueError, match="different groups"):
+                wedge(*bad)
+        for images in ([x, y], [x, x, y], [y, x]):
+            with pytest.raises(ValueError, match="different groups"):
+                pairwise_wedge_sum(images, 3)
+        with pytest.raises(ValueError, match="different groups"):
+            wedge(x, x) + wedge(y, y)
 
 
 class TestSubgroupGenerated:

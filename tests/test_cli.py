@@ -1,9 +1,15 @@
+import argparse
+import io
 import json
 import subprocess
 import sys
+from contextlib import redirect_stderr, redirect_stdout
+from pathlib import Path
 
 import pytest
 
+import isoprod
+import isoprod.cli as cli
 from isoprod.cli import (
     CaseFileError,
     case_file_json,
@@ -251,6 +257,78 @@ class TestFailureModes:
         capsys.readouterr()
         assert main(["compute", "1", "--method", "bogus"]) == 2
         capsys.readouterr()
+
+
+# A sequence that changes subcommand, options and exit code from call to call.
+REUSE_SEQUENCE = [
+    ["compute", "1", "--json"],
+    ["compute", "1", "--method", "paper"],
+    ["compute"],
+    ["verify", "9"],
+    ["export", "3", "--format", "text"],
+    ["compute", "1"],
+]
+
+# Runs each command first thing after a fresh import of isoprod.
+FRESH_IMPORT_SCRIPT = """
+import importlib, io, json, sys
+from contextlib import redirect_stderr, redirect_stdout
+sys.path.insert(0, sys.argv[1])
+results = []
+for argv in json.loads(sys.argv[2]):
+    for name in [m for m in sys.modules if m == "isoprod" or m.startswith("isoprod.")]:
+        del sys.modules[name]
+    cli = importlib.import_module("isoprod.cli")
+    out, err = io.StringIO(), io.StringIO()
+    with redirect_stdout(out), redirect_stderr(err):
+        code = cli.main(argv)
+    results.append([code, out.getvalue(), err.getvalue()])
+print(json.dumps(results))
+"""
+
+
+def captured_main(argv):
+    out, err = io.StringIO(), io.StringIO()
+    with redirect_stdout(out), redirect_stderr(err):
+        code = main(argv)
+    return [code, out.getvalue(), err.getvalue()]
+
+
+class TestParserReuse:
+    """main() builds its parser once per process; no call may see another's options."""
+
+    def test_same_results_as_fresh_imports(self, monkeypatch):
+        monkeypatch.setenv("COLUMNS", "80")  # argparse wraps usage text to the terminal
+        src = str(Path(isoprod.__file__).resolve().parent.parent)
+        fresh = subprocess.run(
+            [sys.executable, "-c", FRESH_IMPORT_SCRIPT, src, json.dumps(REUSE_SEQUENCE)],
+            capture_output=True, text=True, check=True,
+        )
+        expected = json.loads(fresh.stdout)
+        monkeypatch.setattr(cli, "_parser", None)
+        reused = [captured_main(argv) for argv in REUSE_SEQUENCE]
+        assert reused == expected
+        assert [code for code, _, _ in reused] == [0, 0, 2, 2, 0, 0]
+        assert reused[1][1].startswith("case:") and "oracle:" not in reused[1][1]
+        assert "oracle:" in reused[5][1] and "paper:" in reused[5][1]
+
+    def test_one_parser_for_many_calls(self, monkeypatch, capsys):
+        built = []
+        original_init = argparse.ArgumentParser.__init__
+
+        def counting_init(self, *args, **kwargs):
+            if kwargs.get("prog") == "isoprod":  # subcommand parsers get "isoprod <name>"
+                built.append(self)
+            original_init(self, *args, **kwargs)
+
+        monkeypatch.setattr(argparse.ArgumentParser, "__init__", counting_init)
+        monkeypatch.setattr(cli, "_parser", None)
+        for argv in (["list"], ["compute", "3", "--method", "paper"], ["export", "2"]):
+            assert main(argv) == 0
+        capsys.readouterr()
+        assert len(built) == 1
+        assert cli._parser is built[0]
+        assert cli.build_parser() is not cli.build_parser()  # still a factory
 
 
 class TestConsoleScript:

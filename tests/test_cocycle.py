@@ -2,6 +2,8 @@ import random
 from math import prod
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from isoprod import (
     FinAbGroup,
@@ -9,8 +11,10 @@ from isoprod import (
     IntMatrix,
     InvalidCaseError,
     InvariantFactors,
+    Wedge2,
     Word,
     builtin_case,
+    builtin_cases,
     commutator,
     commutator_quotient,
     gen,
@@ -23,7 +27,12 @@ from isoprod import (
 from isoprod.cli import compute
 from isoprod.cocycle import ExtensionCocycle
 from isoprod.families import FamilyCase
-from conftest import random_admissible_word, random_valid_system, random_word
+from conftest import (
+    random_admissible_word,
+    random_valid_system,
+    random_word,
+    reference_wedge,
+)
 
 KNOWN_H1 = {
     1: InvariantFactors((2, 2, 2, 2, 4, 4)),
@@ -344,6 +353,119 @@ class TestH1Cocycle:
         broken = GeneratingSystem(case.group, tuple(images), case.k)
         with pytest.raises(InvalidCaseError):
             h1_cocycle(case.phi, broken)
+
+
+# (Z/k)^r targets in the cocycle method's scope, ranks 1 to 3.
+COCYCLE_TARGETS = [((2, 2), 2), ((3,), 3), ((2, 2, 2), 2), ((3, 3), 3), ((5, 5), 5)]
+
+
+def random_pair(rng, orders, k):
+    group = FinAbGroup(orders)
+    low = max(3, group.rank + 1)
+    return (random_valid_system(rng, group, k, rng.randint(low, 5)),
+            random_valid_system(rng, group, k, rng.randint(low, 5)))
+
+
+class TestWedgeTablesDifferential:
+    """The cocycle's wedge tables against sums of Wedge2 basis terms."""
+
+    @given(st.data())
+    @settings(max_examples=40, deadline=None)
+    def test_tables_values_and_commutator_classes(self, data):
+        orders, k = data.draw(st.sampled_from(COCYCLE_TARGETS))
+        rng = random.Random(data.draw(st.integers(0, 2**32)))
+        phi, psi = random_pair(rng, orders, k)
+        ext = ExtensionCocycle(phi, psi)
+        group = phi.group
+        for system, table in ((phi, ext._wphi), (psi, ext._wpsi)):
+            images = system.images[:-1]
+            for i, x in enumerate(images):
+                for j, y in enumerate(images):
+                    assert Wedge2(group, table[i][j]) == reference_wedge(x, y)
+
+        coeffs = st.tuples(*(st.integers(0, k - 1) for _ in range(ext.fab_group.rank)))
+        z1 = ext.fab_group.element(data.draw(coeffs))
+        z2 = ext.fab_group.element(data.draw(coeffs))
+        (r, rp), (s, sp) = ext.split(z1), ext.split(z2)
+        expected = Wedge2(group, [0] * len(group.pair_indices()))
+        for left, right, images, sign in ((r, s, phi.images, -1), (rp, sp, psi.images, 1)):
+            for i in range(len(left)):
+                for j in range(i + 1, len(left)):
+                    term = reference_wedge(images[i], images[j])
+                    expected = expected + (sign * left[j] * right[i]) * term
+        assert ext(z1, z2) == ext.quotient.reduce(expected)
+
+        u = random_admissible_word(rng, "a", ext.n - 1, k)
+        v = random_admissible_word(rng, "b", ext.m - 1, k)
+        expected = Wedge2(group, [0] * len(group.pair_indices()))
+        for word, images, sign in ((u, phi.images, 1), (v, psi.images, -1)):
+            letters = word.letters
+            for a in range(len(letters)):
+                for b in range(a + 1, len(letters)):
+                    if letters[a].index > letters[b].index:
+                        term = reference_wedge(images[letters[a].index - 1],
+                                               images[letters[b].index - 1])
+                        expected = expected + (sign * letters[a].sign * letters[b].sign) * term
+        assert ext.commutator_class(u, v) == ext.quotient.reduce(expected)
+
+    def test_operands_from_other_groups_rejected(self):
+        case = builtin_case(3)
+        ext = ExtensionCocycle(case.phi, case.psi)
+        stranger = FinAbGroup((3,) * (ext.fab_group.rank + 1)).zero()
+        with pytest.raises(ValueError, match="F\\^ab"):
+            ext(stranger, ext.fab_group.zero())
+        with pytest.raises(ValueError, match="different group"):
+            ext.quotient.reduce(FinAbGroup((3, 3, 3)).wedge_basis_element(0, 1))
+        other = builtin_case(4)
+        with pytest.raises(ValueError, match="different groups"):
+            ExtensionCocycle(case.phi, other.psi)
+
+
+def _permuted(rng, system):
+    """The system with its images in another order (if they are not all equal)."""
+    images = list(system.images)
+    for _ in range(10):
+        rng.shuffle(images)
+        if tuple(images) != system.images:
+            break
+    return GeneratingSystem(system.group, tuple(images), system.k)
+
+
+def _transformed(matrix, system):
+    """The system with the automorphism x -> matrix * x of (Z/k)^r applied."""
+    group = system.group
+    images = tuple(
+        group.element([sum(a * c for a, c in zip(row, img.coeffs)) for row in matrix])
+        for img in system.images
+    )
+    return GeneratingSystem(group, images, system.k)
+
+
+def _metamorphic_cases():
+    cases = [pytest.param(f"catalog-{c.id}", c.phi, c.psi, id=f"catalog-{c.id}")
+             for c in builtin_cases()]
+    rng = random.Random(59)
+    for i in range(20):
+        orders, k = COCYCLE_TARGETS[i % len(COCYCLE_TARGETS)]
+        cases.append(pytest.param(f"random-{i}", *random_pair(rng, orders, k), id=f"random-{i}"))
+    return cases
+
+
+class TestH1CocycleMetamorphic:
+    """Relabelings that give an isomorphic kernel must not change the answer."""
+
+    @pytest.mark.parametrize("label, phi, psi", _metamorphic_cases())
+    def test_invariances(self, label, phi, psi):
+        rng = random.Random(label)
+        expected = h1_cocycle(phi, psi)
+        assert h1_cocycle(_permuted(rng, phi), psi) == expected
+        assert h1_cocycle(phi, _permuted(rng, psi)) == expected
+        assert h1_cocycle(psi, phi) == expected
+        automorphism = random_gl(rng, phi.group.rank, phi.k)
+        assert h1_cocycle(_transformed(automorphism, phi),
+                          _transformed(automorphism, psi)) == expected
+        if phi.group.order() <= 9:
+            assert expected == kernel_h1(phi, psi)
 
 
 def pair_case(phi, psi):
