@@ -48,14 +48,6 @@ class IntMatrix:
     def rows(self) -> int:
         return len(self.data)
 
-    @classmethod
-    def zeros(cls, rows: int, cols: int) -> "IntMatrix":
-        return cls([[0] * cols for _ in range(rows)], cols=cols)
-
-    @classmethod
-    def identity(cls, n: int) -> "IntMatrix":
-        return cls([[int(i == j) for j in range(n)] for i in range(n)], cols=n)
-
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, IntMatrix):
             return NotImplemented
@@ -110,6 +102,43 @@ class IntMatrix:
 
     def __repr__(self) -> str:
         return f"IntMatrix({self.data!r}, cols={self.cols})"
+
+
+class SparseIntMatrix:
+    """Integer matrix stored as one ``{column: entry}`` dict per row.
+
+    Absent columns are zero.  ``abelian_invariants`` reads the dicts as they
+    are, so a relation matrix that is almost all zeros is never expanded;
+    ``data`` builds the dense rows only when something asks for them.
+
+    >>> SparseIntMatrix([{1: 3}, {}], cols=2).data
+    [[0, 3], [0, 0]]
+    """
+
+    __slots__ = ("entries", "cols")
+
+    def __init__(self, entries: list[dict[int, int]], cols: int):
+        if cols < 0:
+            raise ValueError("column count must be nonnegative")
+        for row in entries:
+            if row and not (min(row) >= 0 and max(row) < cols):
+                raise ValueError(f"row {row!r} has a column outside 0..{cols - 1}")
+        self.entries = entries
+        self.cols = cols
+
+    @property
+    def rows(self) -> int:
+        return len(self.entries)
+
+    @property
+    def data(self) -> list[list[int]]:
+        dense = []
+        for row in self.entries:
+            out = [0] * self.cols
+            for c, val in row.items():
+                out[c] = val
+            dense.append(out)
+        return dense
 
 
 @dataclass(frozen=True)
@@ -353,23 +382,26 @@ def _presparse_reduce(rows: list[dict[int, int]], live_cols: set[int]) -> int:
     return removed
 
 
-def _diagonal_invariants(rows: list[list[int]], ncols: int) -> list[int]:
-    """Nonzero diagonal of the Smith form of the given relation rows.
+def _distinct_rows(rows: Iterable[dict[int, int]]) -> list[dict[int, int]]:
+    """The nonempty rows, each kept once; equal rows span the same lattice."""
+    return list({frozenset(row.items()): row for row in rows if row}.values())
 
-    A sparse unit-pivot pass shrinks the problem before the dense
-    elimination; unit pivots contribute factors of 1 which are returned
-    explicitly so callers can count consumed columns.
+
+def _diagonal_invariants(rows: list[dict[int, int]], ncols: int) -> list[int]:
+    """Nonzero diagonal of the Smith form of the given sparse relation rows.
+
+    The rows are ``{column: nonzero entry}`` dicts owned by the call: the
+    sparse unit-pivot pass mutates them.  Duplicate rows are dropped before
+    that pass and again before the dense elimination of what it leaves.
+    Unit pivots contribute factors of 1 which are returned explicitly so
+    callers can count consumed columns.
     """
-    columns = range(ncols)
-    sparse = [{j: row[j] for j in compress(columns, row)} for row in rows]
-    sparse = [r for r in sparse if r]
+    sparse = _distinct_rows(rows)
     live = set(range(ncols))
     units = _presparse_reduce(sparse, live)
     col_index = {c: j for j, c in enumerate(sorted(live))}
     dense = []
-    for row in sparse:
-        if not row:
-            continue
+    for row in _distinct_rows(sparse):
         out = [0] * len(col_index)
         for c, val in row.items():
             out[col_index[c]] = val
@@ -380,38 +412,38 @@ def _diagonal_invariants(rows: list[list[int]], ncols: int) -> list[int]:
 
 
 def abelian_invariants(
-    relations: IntMatrix,
+    relations: IntMatrix | SparseIntMatrix,
     generator_orders: Sequence[int | str | None] | None = None,
 ) -> InvariantFactors:
     """Invariant factors of the abelian group presented by ``relations``.
 
-    Columns index generators, rows are relations.  ``generator_orders``
-    optionally gives each generator a finite order k_i (appending the row
-    k_i * e_i); entries of None or "free" leave that generator free, and
-    omitting the argument leaves all of them free.  ``relations`` is left
-    unchanged.
+    Columns index generators, rows are relations; the matrix may be dense
+    or sparse.  ``generator_orders`` optionally gives each generator a
+    finite order k_i (appending the row k_i * e_i); entries of None or
+    "free" leave that generator free, and omitting the argument leaves all
+    of them free.  ``relations`` is left unchanged.
 
     >>> str(abelian_invariants(IntMatrix([], cols=3), [2, 2, 2]))
     'Z/2 ⊕ Z/2 ⊕ Z/2'
     """
     n = relations.cols
-    rows = relations.data
+    if isinstance(relations, SparseIntMatrix):
+        rows = [{c: val for c, val in row.items() if val} for row in relations.entries]
+    else:
+        columns = range(n)
+        rows = [{j: row[j] for j in compress(columns, row)} for row in relations.data]
     if generator_orders is not None:
         if len(generator_orders) != n:
             raise ValueError(
                 f"got {len(generator_orders)} generator orders for {n} generators"
             )
-        order_rows = []
         for i, k in enumerate(generator_orders):
             if k is None or k == "free":
                 continue
             k = int(k)
             if k < 1:
                 raise ValueError(f"generator order {k} < 1")
-            row = [0] * n
-            row[i] = k
-            order_rows.append(row)
-        rows = rows + order_rows
+            rows.append({i: k})
     diag = _diagonal_invariants(rows, n)
     return InvariantFactors(
         factors=tuple(d for d in diag if d > 1),

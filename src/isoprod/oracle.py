@@ -7,6 +7,13 @@ Schreier transversal turns each pair (coset, generator) outside the
 spanning tree into a kernel generator; rewriting every conjugate t r t^-1
 of every relator of F and abelianizing on the fly gives a relation matrix
 whose cokernel is K^ab = H_1.
+
+The conjugate t r t^-1 is never built: t follows tree edges, which rewrite
+to nothing, so each row comes from reading r alone starting at coset t.
+Rows are kept sparse, one ``{column: coefficient}`` dict each, from the
+rewriting through the unit-pivot elimination: on the larger groups the
+matrix is well over 99% zeros, and a dense copy would dominate both the
+time and the memory of a run.
 """
 
 from __future__ import annotations
@@ -15,7 +22,7 @@ from dataclasses import dataclass, field
 from typing import Sequence
 
 from .abelian import AbElement, FinAbGroup
-from .intlattice import IntMatrix, InvariantFactors, abelian_invariants
+from .intlattice import InvariantFactors, SparseIntMatrix, abelian_invariants
 from .presentation import (
     DifferenceMap,
     GeneratingSystem,
@@ -175,34 +182,39 @@ def rewrite_trace(
     return out
 
 
-def rewrite_relator(relator: Word, conjugator: Word, data: SchreierData) -> list[int]:
-    """Abelianized rewriting of conjugator * relator * conjugator^-1.
+def rewrite_relator(relator: Word, coset: int, data: SchreierData) -> dict[int, int]:
+    """Abelianized rewriting of t_c * relator * t_c^-1, for c = ``coset``.
 
-    Returns the exponent-sum row over the nontrivial kernel generators.
+    The transversal word t_c follows tree edges only, and tree edges emit
+    nothing, so reading the relator from coset c gives the same row as
+    reading the whole conjugate from coset 0.  Returns the exponent sums
+    over the nontrivial kernel generators as ``{column: coefficient}``,
+    with zero sums dropped.
     """
-    row = [0] * data.ncols
-    full = conjugator * relator * conjugator.inverse()
-    for key, sign in rewrite_trace(full, data):
-        row[data.columns[key]] += sign
-    return row
+    columns = data.columns
+    row: dict[int, int] = {}
+    for key, sign in rewrite_trace(relator, data, start=coset):
+        col = columns[key]
+        row[col] = row.get(col, 0) + sign
+    return {col: val for col, val in row.items() if val}
 
 
 def relation_matrix(
     phi: GeneratingSystem,
     psi: GeneratingSystem,
     gen_order: Sequence[int] | None = None,
-) -> IntMatrix:
+) -> SparseIntMatrix:
     """One row per (coset, relator of F), columns the nontrivial kernel generators."""
     pres = ProductPresentation(phi.presentation(), psi.presentation())
     table = coset_table(pres, DifferenceMap(phi, psi), gen_order)
     data = schreier_transversal(table)
     relators = pres.relators()
     rows = [
-        rewrite_relator(r, data.transversal[c], data)
+        rewrite_relator(r, c, data)
         for c in range(table.size)
         for r in relators
     ]
-    return IntMatrix(rows, cols=data.ncols)
+    return SparseIntMatrix(rows, cols=data.ncols)
 
 
 def kernel_h1(

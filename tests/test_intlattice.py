@@ -14,6 +14,7 @@ from isoprod import (
     rank_mod_p,
     smith_normal_form,
 )
+from isoprod.intlattice import SparseIntMatrix
 
 
 def minors_gcd_oracle(A: IntMatrix) -> list[int]:
@@ -31,6 +32,14 @@ def minors_gcd_oracle(A: IntMatrix) -> list[int]:
         out.append(g // previous)
         previous = g
     return out
+
+
+def zeros(rows: int, cols: int) -> IntMatrix:
+    return IntMatrix([[0] * cols for _ in range(rows)], cols=cols)
+
+
+def identity(n: int) -> IntMatrix:
+    return IntMatrix([[int(i == j) for j in range(n)] for i in range(n)], cols=n)
 
 
 def random_matrix(rng: random.Random, rows: int, cols: int, bound: int = 20) -> IntMatrix:
@@ -65,16 +74,16 @@ NON_UNIT = (0, 0, 2, -2, 3, -4, 6, 9)
 
 class TestSmithNormalForm:
     def test_identity(self):
-        I3 = IntMatrix.identity(3)
+        I3 = identity(3)
         D, U, V = smith_normal_form(I3)
         assert D == I3 and U == I3 and V == I3
 
     def test_zero(self):
-        Z = IntMatrix.zeros(2, 3)
+        Z = zeros(2, 3)
         D, U, V = smith_normal_form(Z)
         assert D == Z
-        assert U == IntMatrix.identity(2)
-        assert V == IntMatrix.identity(3)
+        assert U == identity(2)
+        assert V == identity(3)
 
     def test_gcd_of_minors_example(self):
         A = IntMatrix([[2, 4], [6, 8]])
@@ -148,11 +157,11 @@ class TestIntMatrix:
 
     def test_matmul_shape_mismatch(self):
         with pytest.raises(ValueError):
-            IntMatrix.identity(2) @ IntMatrix.identity(3)
+            identity(2) @ identity(3)
 
     def test_det_small(self):
         assert IntMatrix([[1, 2], [3, 4]]).det() == -2
-        assert IntMatrix.identity(0).det() == 1
+        assert identity(0).det() == 1
         assert IntMatrix([[0, 1], [1, 0]]).det() == -1
 
 
@@ -245,6 +254,45 @@ class TestAbelianInvariants:
             rows.append([c * p + (0 if p else x) for p, x in zip(pivot, z)])
         assert_invariants_match_snf(IntMatrix(rows))
 
+    @given(st.data())
+    @settings(max_examples=120, deadline=None)
+    def test_sparse_carrier_matches_dense(self, data):
+        # The sparse entry point against the dense one and against the
+        # transform-tracking SNF, on rows with duplicates, explicit zeros
+        # and empty dicts, zero columns, and generator orders.
+        n = data.draw(st.integers(0, 6))
+        entry = st.sampled_from((0, 1, -1, 1, -1, 2, -3, 4, 6))
+        row = st.dictionaries(st.integers(0, n - 1), entry, max_size=n) if n else st.just({})
+        rows = data.draw(st.lists(row, max_size=10))
+        if rows:
+            copies = data.draw(st.lists(st.sampled_from(rows), max_size=5))
+            rows = data.draw(st.permutations(rows + [dict(r) for r in copies] + [{}]))
+        orders = data.draw(st.none() | st.lists(
+            st.sampled_from((None, "free", 1, 2, 3, 4, 6)), min_size=n, max_size=n))
+        sparse = SparseIntMatrix(rows, cols=n)
+        dense = IntMatrix(sparse.data, cols=n)
+        sparse_before = [dict(r) for r in rows]
+        dense_before = [r[:] for r in dense.data]
+        order_rows = [[k if j == i else 0 for j in range(n)]
+                      for i, k in enumerate(orders or ()) if k not in (None, "free")]
+        expected = snf_invariants(IntMatrix(dense.data + order_rows, cols=n))
+        assert abelian_invariants(sparse, orders) == expected
+        assert abelian_invariants(dense, orders) == expected
+        assert sparse.entries == sparse_before
+        assert dense.data == dense_before
+
+    def test_sparse_carrier_shape_checks(self):
+        M = SparseIntMatrix([{0: 2}, {}, {2: -1}], cols=3)
+        assert (M.rows, M.cols) == (3, 3)
+        assert M.data == [[2, 0, 0], [0, 0, 0], [0, 0, -1]]
+        assert SparseIntMatrix([], cols=0).data == []
+        with pytest.raises(ValueError):
+            SparseIntMatrix([{3: 1}], cols=3)
+        with pytest.raises(ValueError):
+            SparseIntMatrix([{-1: 1}], cols=3)
+        with pytest.raises(ValueError):
+            SparseIntMatrix([], cols=-1)
+
     def test_orders_leave_callers_rows_alone(self):
         A = IntMatrix([[1, 2, 0], [0, 2, 4]])
         before = [row[:] for row in A.data]
@@ -274,16 +322,16 @@ class TestInvariantFactors:
 
 class TestKernelBasisModP:
     def test_zero_map(self):
-        M = IntMatrix.zeros(2, 4)
+        M = zeros(2, 4)
         basis = kernel_basis_mod_p(M, 3)
         assert len(basis) == 4
         assert basis == [tuple(int(i == j) for j in range(4)) for i in range(4)]
 
     def test_non_prime_rejected(self):
         with pytest.raises(ValueError):
-            kernel_basis_mod_p(IntMatrix.zeros(1, 1), 4)
+            kernel_basis_mod_p(zeros(1, 1), 4)
         with pytest.raises(ValueError):
-            rank_mod_p(IntMatrix.zeros(1, 1), 1)
+            rank_mod_p(zeros(1, 1), 1)
 
     def test_rank_nullity_membership_independence(self):
         rng = random.Random(17)

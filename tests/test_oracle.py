@@ -1,4 +1,5 @@
 import random
+from collections import Counter
 
 import pytest
 
@@ -7,6 +8,7 @@ from isoprod import (
     FinAbGroup,
     GeneratingSystem,
     InvalidCaseError,
+    IntMatrix,
     InvariantFactors,
     ProductPresentation,
     Word,
@@ -17,7 +19,10 @@ from isoprod import (
     relation_matrix,
     rewrite_relator,
     schreier_transversal,
+    smith_normal_form,
 )
+from isoprod.cli import compute
+from isoprod.intlattice import SparseIntMatrix
 from isoprod.oracle import rewrite_trace
 
 KNOWN_H1 = {
@@ -132,19 +137,52 @@ class TestRewriting:
     def test_case1_square_relator_at_identity(self):
         case = builtin_case(1)
         _, _, table, data = case_machinery(case)
-        row = rewrite_relator(Word.parse("a1 a1"), data.transversal[0], data)
+        row = rewrite_relator(Word.parse("a1 a1"), 0, data)
         e1 = case.group.basis()[0]
         expected_column = data.columns[(table.cosets.index(e1), 0)]
         assert row[expected_column] == 1
-        assert sum(abs(x) for x in row) == 1
+        assert sum(abs(x) for x in row.values()) == 1
 
     def test_commutator_relator_weight(self):
         case = builtin_case(1)
         _, _, table, data = case_machinery(case)
-        row = rewrite_relator(
-            Word.parse("a1 b1 a1^-1 b1^-1"), data.transversal[0], data
-        )
-        assert sum(abs(x) for x in row) <= 4
+        row = rewrite_relator(Word.parse("a1 b1 a1^-1 b1^-1"), 0, data)
+        assert sum(abs(x) for x in row.values()) <= 4
+
+    def test_cancelled_generators_leave_no_entry(self):
+        # x x^-1 read from coset c emits the generator (c, x) and then its
+        # inverse; the row must drop the zero sum, not store it.
+        case = builtin_case(1)
+        _, _, table, data = case_machinery(case)
+        emitting = 0
+        for c in range(table.size):
+            for name in ("a1", "b2"):
+                word = Word.parse(f"{name} {name}^-1")
+                emitting += bool(rewrite_trace(word, data, start=c))
+                assert rewrite_relator(word, c, data) == {}
+        assert emitting
+
+    @pytest.mark.parametrize(
+        "case_id, shuffle_seed", [(1, None), (2, None), (3, None), (4, None), (1, 59)]
+    )
+    def test_row_from_coset_equals_rewritten_conjugate(self, case_id, shuffle_seed):
+        # Reading r from coset c must give the abelianized rewriting of
+        # t_c r t_c^-1 read from coset 0, for every coset and relator.
+        case = builtin_case(case_id)
+        gen_order = None
+        if shuffle_seed is not None:
+            gen_order = list(range(case.n + case.m))
+            random.Random(shuffle_seed).shuffle(gen_order)
+            assert gen_order != sorted(gen_order)
+        pres, _, table, data = case_machinery(case, gen_order)
+        for c in range(table.size):
+            t = data.transversal[c]
+            for r in pres.relators():
+                expected = Counter()
+                for key, sign in rewrite_trace(t * r * t.inverse(), data):
+                    expected[data.columns[key]] += sign
+                row = rewrite_relator(r, c, data)
+                assert row == {col: v for col, v in expected.items() if v}
 
     def test_expansion_is_freely_equal_to_conjugate(self, cases):
         # Expanding the emitted kernel generators back to words of F must
@@ -223,6 +261,33 @@ class TestKernelH1:
         case = builtin_case(2)
         matrix = relation_matrix(case.phi, case.psi)
         assert (matrix.rows, matrix.cols) == (16 * 37, 145)
+        assert sum(len(row) for row in matrix.entries) == 1885
+        assert sum(len(row) - row.count(0) for row in matrix.data) == 1885
+
+    def test_untraced_oracle_never_builds_the_dense_view(self, monkeypatch):
+        def refuse(self):
+            raise AssertionError("dense view of the relation matrix was built")
+
+        monkeypatch.setattr(SparseIntMatrix, "data", property(refuse))
+        for case_id in (1, 2, 3, 4):
+            report = compute(builtin_case(case_id), ("oracle",))
+            assert report.h1["oracle"] == KNOWN_H1[case_id]
+
+    @pytest.mark.parametrize("case_id, shape", [(1, (344, 81)), (3, (234, 64))])
+    def test_smith_certificate_on_relation_matrix(self, case_id, shape):
+        # The oracle's own matrix, reduced with transforms: U A V = D, no
+        # zero on the diagonal (b_1 = 0), and the factors above 1 are the
+        # oracle's answer and the paper's.
+        case = builtin_case(case_id)
+        A = IntMatrix(relation_matrix(case.phi, case.psi).data)
+        assert (A.rows, A.cols) == shape
+        D, U, V = smith_normal_form(A)
+        assert U @ A @ V == D
+        assert D.is_diagonal()
+        diag = D.diagonal()
+        assert len(diag) == A.cols and all(diag)
+        factors = InvariantFactors(tuple(d for d in diag if d > 1))
+        assert factors == kernel_h1(case.phi, case.psi) == KNOWN_H1[case_id]
 
     def test_invalid_case_rejected(self):
         case = builtin_case(1)
