@@ -38,7 +38,6 @@ from .intlattice import (
     InvariantFactors,
     abelian_invariants,
     kernel_basis_mod_p,
-    rank_mod_p,
     smith_normal_form,
 )
 from .oracle import (
@@ -103,7 +102,6 @@ __all__ = [
     "kernel_basis_mod_p",
     "kernel_h1",
     "pairwise_wedge_sum",
-    "rank_mod_p",
     "relation_matrix",
     "rewrite_relator",
     "schreier_transversal",

@@ -9,7 +9,6 @@ is routine and harmless.
 
 from __future__ import annotations
 
-import heapq
 from dataclasses import dataclass
 from itertools import compress
 from math import prod
@@ -326,41 +325,42 @@ def _presparse_reduce(rows: list[dict[int, int]], live_cols: set[int]) -> int:
 
     Each elimination contributes an invariant factor of 1, so only the count
     of removed columns matters.  Mutates rows / live_cols; returns the number
-    of pivots removed.
+    of pivots removed.  The rows may only use columns of live_cols.
 
-    The pivot row is the lightest row holding a +-1 entry, taken from a heap
-    keyed on (row weight, row id).  A row is pushed again whenever an
-    elimination changes it, and a popped entry whose weight is out of date,
-    or whose row is gone or has lost its units, is skipped.  Within that
+    The pivot row is the lightest row holding a +-1 entry.  Such rows sit in
+    buckets by weight, and a row changed by an elimination moves to the
+    bucket of its new weight (or leaves the buckets when its last unit
+    goes), so every row taken from a bucket yields a pivot.  Within that
     row the pivot column is the +-1 column met by the fewest rows
     (Markowitz), which bounds the fill-in.  A column -> rows index, kept up
     to date through fill-in and cancellation, means an elimination touches
     only the rows that meet the pivot column.
     """
     col_rows: dict[int, set[int]] = {}
-    heap = []
+    buckets: list[set[int]] = [set() for _ in range(len(live_cols) + 1)]
     for idx, row in enumerate(rows):
         for c in row:
             col_rows.setdefault(c, set()).add(idx)
         values = row.values()
         if 1 in values or -1 in values:
-            heap.append((len(row), idx))
-    heapq.heapify(heap)
+            buckets[len(row)].add(idx)
+    lightest = 0
     removed = 0
-    while heap:
-        weight, pr = heapq.heappop(heap)
+    while True:
+        while lightest < len(buckets) and not buckets[lightest]:
+            lightest += 1
+        if lightest == len(buckets):
+            return removed
+        pr = buckets[lightest].pop()
         pivot_row = rows[pr]
-        if len(pivot_row) != weight:
-            continue  # stale: the row was pushed again when it changed, or it is gone
         units = [c for c, val in pivot_row.items() if val == 1 or val == -1]
-        if not units:
-            continue
         pc = min(units, key=lambda c: len(col_rows[c]))
         sign = pivot_row[pc]
         for c in pivot_row:
             col_rows[c].discard(pr)
         for idx in col_rows.pop(pc):
             row = rows[idx]
+            buckets[len(row)].discard(idx)  # a bucketed row sits at its weight
             factor = row.pop(pc) * sign  # row -= factor * pivot_row zeroes column pc
             for c, val in pivot_row.items():
                 if c == pc:
@@ -375,11 +375,13 @@ def _presparse_reduce(rows: list[dict[int, int]], live_cols: set[int]) -> int:
                     col_rows[c].discard(idx)
             values = row.values()
             if 1 in values or -1 in values:
-                heapq.heappush(heap, (len(row), idx))
+                weight = len(row)
+                buckets[weight].add(idx)
+                if weight < lightest:
+                    lightest = weight
         pivot_row.clear()
         live_cols.discard(pc)
         removed += 1
-    return removed
 
 
 def _distinct_rows(rows: Iterable[dict[int, int]]) -> list[dict[int, int]]:
@@ -387,27 +389,98 @@ def _distinct_rows(rows: Iterable[dict[int, int]]) -> list[dict[int, int]]:
     return list({frozenset(row.items()): row for row in rows if row}.values())
 
 
+def _xgcd(a: int, b: int) -> tuple[int, int, int]:
+    """(g, s, t) with g = gcd(a, b) = s*a + t*b and g > 0 (a, b not both 0)."""
+    s0, s1, t0, t1 = 1, 0, 0, 1
+    while b:
+        q, r = divmod(a, b)
+        a, b = b, r
+        s0, s1 = s1, s0 - q * s1
+        t0, t1 = t1, t0 - q * t1
+    if a < 0:
+        return -a, -s0, -t0
+    return a, s0, t0
+
+
+def _hermite_reduce(row: list[int], basis: list[list[int] | None], start: int) -> list[int]:
+    """row with each entry at a basis pivot column >= start brought into [0, pivot)."""
+    for j in range(start, len(row)):
+        pivot = basis[j]
+        if pivot is not None and row[j]:
+            q = row[j] // pivot[j]
+            if q:
+                row = [x - q * y for x, y in zip(row, pivot)]
+    return row
+
+
+def _hermite_fold(rows: Iterable[list[int]], ncols: int) -> list[list[int]]:
+    """Echelon basis, of at most ncols rows, of the lattice the rows span.
+
+    ``basis[c]`` is the row whose first nonzero entry, the positive pivot,
+    is in column c.  Each row is folded in on its own: at each nonzero
+    column c it is either stored as the basis row of c, or reduced by that
+    row, where a remainder is cleared by the unimodular step
+    [[s, t], [-b/g, a/g]] of the extended gcd g = s*a + t*b, which leaves g
+    as the pivot.  A row that clears entirely was already in the lattice.
+    Whenever a pivot is set or shrinks, the rows above it are reduced
+    modulo it (Hermite normal form), so once every column has a pivot no
+    entry exceeds the largest pivot, which divides the lattice's index.
+    """
+    basis: list[list[int] | None] = [None] * ncols
+    for row in rows:
+        for c in range(ncols):
+            b = row[c]
+            if not b:
+                continue
+            pivot = basis[c]
+            if pivot is None:
+                basis[c] = row if b > 0 else [-x for x in row]
+            else:
+                a = pivot[c]
+                if b % a == 0:
+                    q = b // a
+                    row = [x - q * y for x, y in zip(row, pivot)]
+                    continue
+                g, s, t = _xgcd(a, b)
+                a, b = a // g, b // g
+                basis[c] = [s * y + t * x for x, y in zip(row, pivot)]
+                row = [a * x - b * y for x, y in zip(row, pivot)]
+            # Pivot c is new or smaller: restore the Hermite form of rows 0..c.
+            basis[c] = _hermite_reduce(basis[c], basis, c + 1)
+            for i in range(c):
+                if basis[i] is not None:
+                    basis[i] = _hermite_reduce(basis[i], basis, c)
+            if pivot is None:
+                break
+    return [row for row in basis if row is not None]
+
+
 def _diagonal_invariants(rows: list[dict[int, int]], ncols: int) -> list[int]:
     """Nonzero diagonal of the Smith form of the given sparse relation rows.
 
     The rows are ``{column: nonzero entry}`` dicts owned by the call: the
     sparse unit-pivot pass mutates them.  Duplicate rows are dropped before
-    that pass and again before the dense elimination of what it leaves.
-    Unit pivots contribute factors of 1 which are returned explicitly so
-    callers can count consumed columns.
+    that pass and again before the dense elimination of what it leaves.  A
+    residual with more rows than columns is first folded into an echelon
+    basis of at most as many rows as columns, so ``_smith`` never clears a
+    tall matrix.  Unit pivots contribute factors of 1 which are returned
+    explicitly so callers can count consumed columns.
     """
     sparse = _distinct_rows(rows)
     live = set(range(ncols))
     units = _presparse_reduce(sparse, live)
     col_index = {c: j for j, c in enumerate(sorted(live))}
+    width = len(col_index)
     dense = []
     for row in _distinct_rows(sparse):
-        out = [0] * len(col_index)
+        out = [0] * width
         for c, val in row.items():
             out[col_index[c]] = val
         dense.append(out)
-    _smith(dense, len(dense), len(col_index), None, None)
-    diag = [dense[i][i] for i in range(min(len(dense), len(col_index)))]
+    if len(dense) > width:
+        dense = _hermite_fold(dense, width)
+    _smith(dense, len(dense), width, None, None)
+    diag = [dense[i][i] for i in range(min(len(dense), width))]
     return [1] * units + [d for d in diag if d]
 
 
@@ -484,12 +557,6 @@ def _rref_mod_p(rows: list[list[int]], p: int) -> tuple[list[list[int]], list[in
         if r == len(mat):
             break
     return mat[:r], pivots
-
-
-def rank_mod_p(M: IntMatrix, p: int) -> int:
-    if not _is_prime(p):
-        raise ValueError(f"{p} is not prime")
-    return len(_rref_mod_p(M.data, p)[1])
 
 
 def kernel_basis_mod_p(M: IntMatrix, p: int) -> list[tuple[int, ...]]:

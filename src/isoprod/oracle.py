@@ -8,6 +8,12 @@ spanning tree into a kernel generator; rewriting every conjugate t r t^-1
 of every relator of F and abelianizing on the fly gives a relation matrix
 whose cokernel is K^ab = H_1.
 
+The relators read are those of ``ProductPresentation.relators()``: the
+factor relators and the commutators [a_i, b_j] with i < n and j < m.  The
+long relators make a_n and b_m words in the other generators, so the
+commutators left out lie in the normal closure of those kept; K and K^ab
+are the same, with (n + m - 1)|G| fewer rows.
+
 The conjugate t r t^-1 is never built: t follows tree edges, which rewrite
 to nothing, so each row comes from reading r alone starting at coset t.
 Rows are kept sparse, one ``{column: coefficient}`` dict each, from the

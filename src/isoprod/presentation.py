@@ -3,7 +3,8 @@
 The two factor groups are presented as
 ``<a_1, ..., a_n | a_i^k, a_1 ... a_n>`` (generators tagged "a") and the
 same shape with generators tagged "b".  The product group takes the union
-of the relators plus every commutator [a_i, b_j].  A generating system is
+of the relators plus the commutators [a_i, b_j] with i < n and j < m; the
+others follow from these and the two long relators.  A generating system is
 the list of generator images in a finite abelian group; the combined map
 to the target sends (p, q) to phi(p) - psi(q).
 """
@@ -159,11 +160,17 @@ class ProductPresentation:
         )
 
     def relators(self) -> tuple[Word, ...]:
-        """Factor relators followed by all commutators [a_i, b_j], i-major."""
+        """Factor relators followed by the commutators [a_i, b_j], i < n, j < m, i-major.
+
+        The long relators make a_n = (a_1...a_{n-1})^-1 and
+        b_m = (b_1...b_{m-1})^-1, so a_n commutes with b_1..b_{m-1}, and then
+        b_m with every a_i: the commutators left out lie in the normal
+        closure of those kept, and the group does not change.
+        """
         comms = tuple(
             commutator(gen(FIRST, i), gen(SECOND, j))
-            for i in range(1, self.first.n + 1)
-            for j in range(1, self.second.n + 1)
+            for i in range(1, self.first.n)
+            for j in range(1, self.second.n)
         )
         return self.first.relators(FIRST) + self.second.relators(SECOND) + comms
 

@@ -11,9 +11,9 @@ from isoprod import (
     InvariantFactors,
     abelian_invariants,
     kernel_basis_mod_p,
-    rank_mod_p,
     smith_normal_form,
 )
+from isoprod import intlattice
 from isoprod.intlattice import SparseIntMatrix
 
 
@@ -40,6 +40,23 @@ def zeros(rows: int, cols: int) -> IntMatrix:
 
 def identity(n: int) -> IntMatrix:
     return IntMatrix([[int(i == j) for j in range(n)] for i in range(n)], cols=n)
+
+
+def gf_rank(rows: list[list[int]], p: int) -> int:
+    """Rank over GF(p) by plain Gaussian elimination, p prime."""
+    rows = [[x % p for x in row] for row in rows]
+    rank = 0
+    for c in range(len(rows[0]) if rows else 0):
+        src = next((i for i in range(rank, len(rows)) if rows[i][c]), None)
+        if src is None:
+            continue
+        rows[rank], rows[src] = rows[src], rows[rank]
+        inv = pow(rows[rank][c], -1, p)
+        for i in range(rank + 1, len(rows)):
+            f = rows[i][c] * inv % p
+            rows[i] = [(x - f * y) % p for x, y in zip(rows[i], rows[rank])]
+        rank += 1
+    return rank
 
 
 def random_matrix(rng: random.Random, rows: int, cols: int, bound: int = 20) -> IntMatrix:
@@ -233,8 +250,8 @@ class TestAbelianInvariants:
     @given(st.integers(0, 2**32), st.integers(1, 4))
     @settings(max_examples=12, deadline=None)
     def test_tall_non_unit_matches_snf(self, seed, cols):
-        # Tall residuals like the oracle's: no unit entries, so the dense
-        # Smith step clears 300-row columns.
+        # Tall residuals like the oracle's: no unit entries, so all 300 rows
+        # reach the Hermite fold ahead of the dense Smith step.
         rng = random.Random(seed)
         rows = [[rng.choice(NON_UNIT) for _ in range(cols)] for _ in range(300)]
         assert_invariants_match_snf(IntMatrix(rows, cols=cols))
@@ -280,6 +297,59 @@ class TestAbelianInvariants:
         assert abelian_invariants(dense, orders) == expected
         assert sparse.entries == sparse_before
         assert dense.data == dense_before
+
+    @given(st.data())
+    @settings(max_examples=80, deadline=None)
+    def test_unit_pivot_pass_leaves_no_unit(self, data):
+        # Rows move between weight buckets as eliminations change them; a
+        # row that gains a unit, at any weight, must still be taken.
+        n = data.draw(st.integers(1, 8))
+        row = st.dictionaries(st.integers(0, n - 1), UNIT_RICH.filter(bool), max_size=n)
+        rows = data.draw(st.lists(row, max_size=14))
+        live = set(range(n))
+        removed = intlattice._presparse_reduce(rows, live)
+        assert removed == n - len(live)
+        for r in rows:
+            assert set(r) <= live
+            assert 1 not in r.values() and -1 not in r.values()
+
+    @given(st.data())
+    @settings(max_examples=150, deadline=None)
+    def test_tall_sparse_lattices_match_snf(self, data):
+        # Tall, thin, sparse rows drawn as integer combinations of fewer
+        # base rows (so often free rank > 0), with entries up to +-50 that
+        # seldom leave a unit, zero rows, zero columns and generator orders.
+        n = data.draw(st.integers(1, 6))
+        entry = st.sampled_from((0, 0, 0, 1, -1)) | st.integers(-50, 50)
+        base = data.draw(st.lists(st.lists(entry, min_size=n, max_size=n), max_size=n))
+        dead = data.draw(st.sets(st.integers(0, n - 1), max_size=n - 1))
+        rows = []
+        for _ in range(data.draw(st.integers(n + 1, 3 * n + 6))):
+            coeffs = data.draw(st.lists(st.integers(-3, 3), min_size=len(base), max_size=len(base)))
+            rows.append({j: x for j in range(n) if j not in dead
+                         if (x := sum(c * b[j] for c, b in zip(coeffs, base)))})
+        orders = data.draw(st.none() | st.lists(
+            st.sampled_from((None, "free", 2, 3, 4, 6, 50)), min_size=n, max_size=n))
+        dense = SparseIntMatrix(rows, cols=n).data
+        order_rows = [[k if j == i else 0 for j in range(n)]
+                      for i, k in enumerate(orders or ()) if k not in (None, "free")]
+        expected = snf_invariants(IntMatrix(dense + order_rows, cols=n))
+        assert abelian_invariants(SparseIntMatrix(rows, cols=n), orders) == expected
+
+    def test_tall_residual_takes_an_extended_gcd_step(self, monkeypatch):
+        # No unit anywhere and three rows over two columns: the fold meets
+        # 6 under the pivot 4, which only an extended-gcd step clears, and
+        # _smith gets the 2 x 2 basis instead of the 3 x 2 residual.
+        A = IntMatrix([[4, 6], [6, 4], [10, 0]])
+        assert snf_invariants(A) == InvariantFactors((2, 10))
+        xgcd_calls, smith_shapes = [], []
+        xgcd, smith = intlattice._xgcd, intlattice._smith
+        monkeypatch.setattr(intlattice, "_xgcd",
+                            lambda a, b: xgcd_calls.append((a, b)) or xgcd(a, b))
+        monkeypatch.setattr(intlattice, "_smith",
+                            lambda d, m, n, u, v: smith_shapes.append((m, n)) or smith(d, m, n, u, v))
+        assert abelian_invariants(A) == InvariantFactors((2, 10))
+        assert xgcd_calls and smith_shapes == [(2, 2)]
 
     def test_sparse_carrier_shape_checks(self):
         M = SparseIntMatrix([{0: 2}, {}, {2: -1}], cols=3)
@@ -331,7 +401,7 @@ class TestKernelBasisModP:
         with pytest.raises(ValueError):
             kernel_basis_mod_p(zeros(1, 1), 4)
         with pytest.raises(ValueError):
-            rank_mod_p(zeros(1, 1), 1)
+            kernel_basis_mod_p(zeros(1, 1), 1)
 
     def test_rank_nullity_membership_independence(self):
         rng = random.Random(17)
@@ -340,10 +410,10 @@ class TestKernelBasisModP:
                 m, n = rng.randint(1, 4), rng.randint(1, 6)
                 M = random_matrix(rng, m, n, 7)
                 basis = kernel_basis_mod_p(M, p)
-                assert len(basis) == n - rank_mod_p(M, p)
+                assert len(basis) == n - gf_rank(M.data, p)
                 for vec in basis:
                     image = [sum(M.data[i][j] * vec[j] for j in range(n)) % p
                              for i in range(m)]
                     assert not any(image)
                 if basis:
-                    assert rank_mod_p(IntMatrix([list(v) for v in basis]), p) == len(basis)
+                    assert gf_rank([list(v) for v in basis], p) == len(basis)

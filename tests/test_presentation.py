@@ -101,9 +101,11 @@ class TestPresentations:
             OrbifoldPresentation(3, 1)
 
     def test_product_relator_count(self):
-        pres = ProductPresentation(OrbifoldPresentation(5, 2), OrbifoldPresentation(6, 2))
-        assert len(pres.relators()) == 5 + 1 + 6 + 1 + 30
-        assert len(pres.generators()) == 11
+        # n + 1 and m + 1 factor relators, and [a_i, b_j] for i < n, j < m only.
+        n, m = 5, 6
+        pres = ProductPresentation(OrbifoldPresentation(n, 2), OrbifoldPresentation(m, 2))
+        assert len(pres.relators()) == (n + 1) + (m + 1) + (n - 1) * (m - 1) == 33
+        assert len(pres.generators()) == n + m
 
 
 class TestEvaluate:
