@@ -355,16 +355,19 @@ def _presparse_reduce(rows: list[dict[int, int]], live_cols: set[int]) -> int:
         pivot_row = rows[pr]
         units = [c for c, val in pivot_row.items() if val == 1 or val == -1]
         pc = min(units, key=lambda c: len(col_rows[c]))
-        sign = pivot_row[pc]
         for c in pivot_row:
             col_rows[c].discard(pr)
+        # With the pivot entry taken out and the rest scaled by its sign,
+        # row -= row[pc] * pivot_row zeroes column pc of any row.
+        if pivot_row.pop(pc) == -1:
+            for c in pivot_row:
+                pivot_row[c] = -pivot_row[c]
+        pivot_items = pivot_row.items()
         for idx in col_rows.pop(pc):
             row = rows[idx]
             buckets[len(row)].discard(idx)  # a bucketed row sits at its weight
-            factor = row.pop(pc) * sign  # row -= factor * pivot_row zeroes column pc
-            for c, val in pivot_row.items():
-                if c == pc:
-                    continue
+            factor = row.pop(pc)
+            for c, val in pivot_items:
                 new = row.get(c, 0) - factor * val
                 if new:
                     if c not in row:
@@ -402,15 +405,16 @@ def _xgcd(a: int, b: int) -> tuple[int, int, int]:
     return a, s0, t0
 
 
-def _hermite_reduce(row: list[int], basis: list[list[int] | None], start: int) -> list[int]:
-    """row with each entry at a basis pivot column >= start brought into [0, pivot)."""
-    for j in range(start, len(row)):
+def _hermite_reduce(row: list[int], basis: list[list[int] | None], start: int) -> None:
+    """Bring each entry of row at a basis pivot column >= start into [0, pivot), in place."""
+    n = len(row)
+    for j in range(start, n):
         pivot = basis[j]
         if pivot is not None and row[j]:
             q = row[j] // pivot[j]
             if q:
-                row = [x - q * y for x, y in zip(row, pivot)]
-    return row
+                for i in range(j, n):
+                    row[i] -= q * pivot[i]
 
 
 def _hermite_fold(rows: Iterable[list[int]], ncols: int) -> list[list[int]]:
@@ -425,6 +429,8 @@ def _hermite_fold(rows: Iterable[list[int]], ncols: int) -> list[list[int]]:
     Whenever a pivot is set or shrinks, the rows above it are reduced
     modulo it (Hermite normal form), so once every column has a pivot no
     entry exceeds the largest pivot, which divides the lattice's index.
+    Rows are updated in place, from column c onward (the entries before c
+    are zero in both rows); the caller's lists become the basis rows.
     """
     basis: list[list[int] | None] = [None] * ncols
     for row in rows:
@@ -434,22 +440,28 @@ def _hermite_fold(rows: Iterable[list[int]], ncols: int) -> list[list[int]]:
                 continue
             pivot = basis[c]
             if pivot is None:
-                basis[c] = row if b > 0 else [-x for x in row]
+                if b < 0:
+                    for j in range(c, ncols):
+                        row[j] = -row[j]
+                basis[c] = row
             else:
                 a = pivot[c]
                 if b % a == 0:
                     q = b // a
-                    row = [x - q * y for x, y in zip(row, pivot)]
+                    for j in range(c, ncols):
+                        row[j] -= q * pivot[j]
                     continue
                 g, s, t = _xgcd(a, b)
                 a, b = a // g, b // g
-                basis[c] = [s * y + t * x for x, y in zip(row, pivot)]
-                row = [a * x - b * y for x, y in zip(row, pivot)]
+                for j in range(c, ncols):
+                    x, y = row[j], pivot[j]
+                    pivot[j] = s * y + t * x
+                    row[j] = a * x - b * y
             # Pivot c is new or smaller: restore the Hermite form of rows 0..c.
-            basis[c] = _hermite_reduce(basis[c], basis, c + 1)
+            _hermite_reduce(basis[c], basis, c + 1)
             for i in range(c):
                 if basis[i] is not None:
-                    basis[i] = _hermite_reduce(basis[i], basis, c)
+                    _hermite_reduce(basis[i], basis, c)
             if pivot is None:
                 break
     return [row for row in basis if row is not None]
@@ -460,19 +472,19 @@ def _diagonal_invariants(rows: list[dict[int, int]], ncols: int) -> list[int]:
 
     The rows are ``{column: nonzero entry}`` dicts owned by the call: the
     sparse unit-pivot pass mutates them.  Duplicate rows are dropped before
-    that pass and again before the dense elimination of what it leaves.  A
+    the dense elimination of what that pass leaves (the oracle emits no
+    duplicates, so none are looked for before it).  A
     residual with more rows than columns is first folded into an echelon
     basis of at most as many rows as columns, so ``_smith`` never clears a
     tall matrix.  Unit pivots contribute factors of 1 which are returned
     explicitly so callers can count consumed columns.
     """
-    sparse = _distinct_rows(rows)
     live = set(range(ncols))
-    units = _presparse_reduce(sparse, live)
+    units = _presparse_reduce(rows, live)
     col_index = {c: j for j, c in enumerate(sorted(live))}
     width = len(col_index)
     dense = []
-    for row in _distinct_rows(sparse):
+    for row in _distinct_rows(rows):
         out = [0] * width
         for c, val in row.items():
             out[col_index[c]] = val

@@ -159,20 +159,23 @@ class ProductPresentation:
             Letter(SECOND, j) for j in range(1, self.second.n + 1)
         )
 
-    def relators(self) -> tuple[Word, ...]:
-        """Factor relators followed by the commutators [a_i, b_j], i < n, j < m, i-major.
+    def commutators(self) -> tuple[Word, ...]:
+        """The commutators [a_i, b_j], i < n, j < m, i-major.
 
         The long relators make a_n = (a_1...a_{n-1})^-1 and
         b_m = (b_1...b_{m-1})^-1, so a_n commutes with b_1..b_{m-1}, and then
         b_m with every a_i: the commutators left out lie in the normal
         closure of those kept, and the group does not change.
         """
-        comms = tuple(
+        return tuple(
             commutator(gen(FIRST, i), gen(SECOND, j))
             for i in range(1, self.first.n)
             for j in range(1, self.second.n)
         )
-        return self.first.relators(FIRST) + self.second.relators(SECOND) + comms
+
+    def relators(self) -> tuple[Word, ...]:
+        """Factor relators followed by ``commutators()``."""
+        return self.first.relators(FIRST) + self.second.relators(SECOND) + self.commutators()
 
 
 @dataclass(frozen=True)

@@ -12,12 +12,22 @@ def cases():
     return builtin_cases()
 
 
+SAMPLER_TRIES = 1000
+
+
 def random_valid_system(rng: random.Random, group: FinAbGroup, k: int, n: int) -> GeneratingSystem:
-    """Rejection-sample a valid generating system (n must allow generation)."""
+    """Rejection-sample a valid generating system (n must allow generation).
+
+    Gives up with a ValueError after SAMPLER_TRIES draws, since some sizes
+    admit no valid system at all: in Z/4 with k = 4, three images of order 4
+    are odd and cannot sum to zero.
+    """
     if n - 1 < group.rank:
         raise ValueError("cannot generate the group with so few images")
     pool = [e for e in group.elements() if e.order() == k]
-    while True:
+    if not pool:
+        raise ValueError(f"{group} has no element of order {k}")
+    for _ in range(SAMPLER_TRIES):
         images = [rng.choice(pool) for _ in range(n - 1)]
         last = -sum(images[1:], images[0])
         if last.order() != k:
@@ -26,6 +36,9 @@ def random_valid_system(rng: random.Random, group: FinAbGroup, k: int, n: int) -
         candidate = GeneratingSystem(group, tuple(images), k)
         if validate_generating_system(candidate).ok:
             return candidate
+    raise ValueError(
+        f"no valid system of {n} images of order {k} in {group} after {SAMPLER_TRIES} draws"
+    )
 
 
 def random_word(rng: random.Random, factor: str, count: int, length: int) -> Word:

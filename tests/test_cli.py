@@ -7,10 +7,13 @@ from contextlib import redirect_stderr, redirect_stdout
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import isoprod
 import isoprod.cli as cli
 from isoprod.cli import (
+    CaseFile,
     CaseFileError,
     case_file_json,
     case_to_file,
@@ -62,6 +65,64 @@ class TestParseCaseFile:
         doc = '{"group_orders": [2, 2], "phi": [[1, "x"]], "psi": []}'
         with pytest.raises(CaseFileError, match="integers"):
             parse_case_file(doc)
+
+
+# JSON values of any shape, weighted towards the integers and lists of
+# integer vectors that a case file holds.
+JSON_SCALARS = st.none() | st.booleans() | st.integers(-10, 10) | st.integers() \
+    | st.floats(allow_nan=True, allow_infinity=True) | st.text(max_size=4)
+JSON_VALUES = st.recursive(
+    JSON_SCALARS | st.lists(st.lists(st.integers(-3, 5), max_size=4), max_size=4),
+    lambda inner: st.lists(inner, max_size=4) | st.dictionaries(st.text(max_size=4), inner, max_size=3),
+    max_leaves=12,
+)
+CASE_KEYS = st.sampled_from(("group_orders", "phi", "psi", "label")) | st.text(max_size=6)
+
+
+@st.composite
+def near_case_documents(draw):
+    """Case-file-shaped documents: right keys, vectors mostly of the right width."""
+    width = draw(st.integers(0, 3))
+    vector = st.lists(st.integers(-2, 9), min_size=width, max_size=width) | JSON_VALUES
+    doc = {
+        "group_orders": draw(st.lists(st.integers(-1, 9), min_size=width, max_size=width)),
+        "phi": draw(st.lists(vector, max_size=5)),
+        "psi": draw(st.lists(vector, max_size=5)),
+    }
+    if draw(st.booleans()):
+        doc["label"] = draw(st.text(max_size=4) | JSON_VALUES)
+    if draw(st.integers(0, 4)) == 0:
+        del doc[draw(st.sampled_from(sorted(doc)))]
+    return doc
+
+
+def must_parse_or_reject(text):
+    try:
+        parsed = parse_case_file(text)
+    except CaseFileError:
+        return
+    assert isinstance(parsed, CaseFile)
+
+
+class TestParseCaseFileFuzz:
+    """Any input gives a CaseFile or a CaseFileError (exit 2), never another exception."""
+
+    @given(st.text(max_size=200))
+    @settings(max_examples=300, deadline=None)
+    def test_any_text(self, text):
+        must_parse_or_reject(text)
+
+    @given(near_case_documents() | st.dictionaries(CASE_KEYS, JSON_VALUES, max_size=5) | JSON_VALUES)
+    @settings(max_examples=150, deadline=None)
+    def test_any_json_document(self, doc):
+        must_parse_or_reject(json.dumps(doc))
+
+    @given(near_case_documents(), st.data())
+    @settings(max_examples=100, deadline=None)
+    def test_cut_json_document(self, doc, data):
+        text = json.dumps(doc)
+        cut = data.draw(st.integers(0, len(text)))
+        must_parse_or_reject(text[:cut])
 
 
 class TestCommands:

@@ -4,6 +4,7 @@ from collections import Counter
 import pytest
 
 from isoprod import (
+    AbElement,
     DifferenceMap,
     FinAbGroup,
     GeneratingSystem,
@@ -49,15 +50,43 @@ def case_machinery(case, gen_order=None):
 
 
 def relation_matrix_shape(case):
-    """One row per (coset, relator), one column per kernel generator off the tree.
+    """Rows read by the oracle for a valid pair, and kernel generators off the tree.
 
-    The relators are the n + 1 and m + 1 factor relators and the
-    (n - 1)(m - 1) commutators [a_i, b_j] with i < n, j < m; each of the |G|
-    cosets has n + m generator edges, |G| - 1 of them in the spanning tree.
+    Each of the n + m power relators is read once (the other factor's
+    letters have one orbit on the cosets); the two long relators and the
+    (n - 1)(m - 1) commutators [a_i, b_j] with i < n, j < m are read from
+    each of the |G| cosets.  Each coset has n + m generator edges, |G| - 1 of
+    them in the spanning tree.
     """
     order = case.group.order()
-    relators = (case.n + 1) + (case.m + 1) + (case.n - 1) * (case.m - 1)
-    return order * relators, order * (case.n + case.m) - (order - 1)
+    rows = (case.n + case.m) + 2 * order + (case.n - 1) * (case.m - 1) * order
+    return rows, order * (case.n + case.m) - (order - 1)
+
+
+def reference_cosets(diff, letters):
+    """The coset BFS on AbElements: cosets in discovery order and the moves."""
+    images = [diff.letter_image(l) for l in letters]
+    zero = diff.group.zero()
+    index = {zero: 0}
+    cosets = [zero]
+    for current in cosets:
+        for img in images:
+            if current + img not in index:
+                index[current + img] = len(cosets)
+                cosets.append(current + img)
+    moves = tuple(tuple(index[c + img] for c in cosets) for img in images)
+    return tuple(cosets), moves
+
+
+def every_relator_row(pres, data):
+    """Rows of every relator of F from every coset, with all n*m commutators."""
+    n, m = pres.first.n, pres.second.n
+    full = pres.first.relators("a") + pres.second.relators("b") + tuple(
+        commutator(gen("a", i), gen("b", j))
+        for i in range(1, n + 1)
+        for j in range(1, m + 1)
+    )
+    return full, [rewrite_relator(r, c, data) for c in range(data.table.size) for r in full]
 
 
 def trivial_pair(n, m, k=2):
@@ -104,6 +133,29 @@ class TestCosetTable:
         pres = ProductPresentation(phi.presentation(), psi.presentation())
         with pytest.raises(ValueError, match="not surjective"):
             coset_table(pres, DifferenceMap(phi, psi))
+
+    @pytest.mark.parametrize("case_id, shuffle_seed", [
+        (1, None), (2, None), (3, None), (4, None), ("z2z4", 73),
+    ])
+    def test_bfs_on_tuples_matches_element_arithmetic(self, case_id, shuffle_seed):
+        # The BFS runs on coefficient tuples; its cosets and moves must be
+        # those of a BFS on AbElements, coset + image, in the same order.
+        if case_id == "z2z4":
+            rng = random.Random(shuffle_seed)
+            G = FinAbGroup((2, 4))
+            phi, psi = random_valid_system(rng, G, 4, 4), random_valid_system(rng, G, 4, 4)
+        else:
+            case = builtin_case(case_id)
+            phi, psi = case.phi, case.psi
+        gen_order = None
+        if shuffle_seed is not None:
+            gen_order = list(range(phi.n + psi.n))
+            random.Random(shuffle_seed).shuffle(gen_order)
+            assert gen_order != sorted(gen_order)
+        _, diff, table, _ = pair_machinery(phi, psi, gen_order)
+        assert (table.cosets, table.moves) == reference_cosets(diff, table.letters)
+        assert all(isinstance(c, AbElement) for c in table.cosets)
+        assert len(set(table.cosets)) == table.size == phi.group.order()
 
     def test_bad_gen_order_rejected(self):
         case = builtin_case(4)
@@ -253,7 +305,11 @@ class TestRewriting:
 
 
 def relator_cut_inputs():
-    """(phi, psi, gen_order): the catalog, 20 seeded pairs, one permuted order."""
+    """(phi, psi, gen_order): the catalog, seeded pairs, one permuted order.
+
+    The seeded pairs include composite k in groups that are not elementary
+    abelian (Z/4, Z/2 x Z/4, Z/6), which only the oracle can compute.
+    """
     out = [pytest.param(builtin_case(i).phi, builtin_case(i).psi, None, id=f"case{i}")
            for i in (1, 2, 3, 4)]
     rng = random.Random(67)
@@ -265,6 +321,15 @@ def relator_cut_inputs():
         phi = random_valid_system(rng, group, k, rng.randint(low, 5))
         psi = random_valid_system(rng, group, k, rng.randint(low, 5))
         out.append(pytest.param(phi, psi, None, id=f"seeded{seed}"))
+    # Images of order 4 or 6 in these groups are odd in their last
+    # coordinate, so they can sum to zero only in even numbers.
+    for orders, k in (((4,), 4), ((2, 4), 4), ((6,), 6)):
+        group = FinAbGroup(orders)
+        for seed in range(3):
+            phi = random_valid_system(rng, group, k, rng.choice((4, 6)))
+            psi = random_valid_system(rng, group, k, rng.choice((4, 6)))
+            label = "x".join(f"Z{o}" for o in orders)
+            out.append(pytest.param(phi, psi, None, id=f"{label}-{seed}"))
     case = builtin_case(1)
     gen_order = list(range(case.n + case.m))
     random.Random(71).shuffle(gen_order)
@@ -272,27 +337,77 @@ def relator_cut_inputs():
     return out
 
 
+def row_keys(rows):
+    return [frozenset(row.items()) for row in rows]
+
+
 class TestRelatorCut:
-    """relators() leaves out [a_n, b_j] and [a_i, b_m]; the oracle must not notice."""
+    """The oracle reads fewer rows than F has relator conjugates; the lattice must not change.
+
+    It leaves out [a_n, b_j] and [a_i, b_m], and reads each power relator
+    x^k from one coset per orbit of the other factor's letters instead of
+    from every coset.  Its rows are a subset of the full set, so they span
+    a sublattice L' of the full relation lattice L.  When both cokernels
+    are finite with equal invariant factors, Z^cols / L' and Z^cols / L have
+    the same order, so L' has the same finite index as L and L' = L.
+    """
 
     @pytest.mark.parametrize("phi, psi, gen_order", relator_cut_inputs())
     def test_full_commutator_set_gives_the_same_invariants(self, phi, psi, gen_order):
         pres, diff, table, data = pair_machinery(phi, psi, gen_order)
-        n, m = phi.n, psi.n
-        full = pres.first.relators("a") + pres.second.relators("b") + tuple(
-            commutator(gen("a", i), gen("b", j))
-            for i in range(1, n + 1)
-            for j in range(1, m + 1)
-        )
+        full, rows = every_relator_row(pres, data)
         kept = pres.relators()
         assert set(kept) <= set(full)
         dropped = [r for r in full if r not in kept]
-        assert len(dropped) == n + m - 1
+        assert len(dropped) == phi.n + psi.n - 1
         for r in dropped:
             assert diff.evaluate(r).is_zero()
-        rows = [rewrite_relator(r, c, data) for c in range(table.size) for r in full]
+        matrix = relation_matrix(phi, psi, gen_order)
+        assert matrix.cols == data.ncols
+        assert set(row_keys(matrix.entries)) <= set(row_keys(rows))
         from_full = abelian_invariants(SparseIntMatrix(rows, cols=data.ncols))
+        assert from_full.is_finite
         assert kernel_h1(phi, psi, gen_order) == from_full
+
+    def test_power_relators_read_once_per_orbit(self):
+        # psi spans only <e1>, so the b letters have three orbits on the nine
+        # cosets.  Reading each power relator from coset 0 alone loses the
+        # rows of a_i^3 from the other two orbits and leaves a free summand;
+        # one reading per orbit gives the full set's answer.
+        G = FinAbGroup((3, 3))
+        phi = GeneratingSystem(G, tuple(map(G.element, ((1, 1), (1, 0), (1, 2)))), 3)
+        psi = GeneratingSystem(
+            G, tuple(map(G.element, ((2, 0), (1, 0), (1, 0), (2, 0)))), 3
+        )
+        assert phi.validation.ok and not psi.validation.ok
+        pres, _, table, data = pair_machinery(phi, psi)
+        _, rows = every_relator_row(pres, data)
+        from_full = abelian_invariants(SparseIntMatrix(rows, cols=data.ncols))
+        assert from_full == InvariantFactors((3, 3, 3, 3))
+
+        *a_powers, a_long = pres.first.relators("a")
+        *b_powers, b_long = pres.second.relators("b")
+        every = (a_long, b_long) + pres.commutators()
+        coset_zero_only = [rewrite_relator(r, 0, data) for r in a_powers + b_powers] + [
+            rewrite_relator(r, c, data) for c in range(table.size) for r in every
+        ]
+        assert abelian_invariants(
+            SparseIntMatrix(coset_zero_only, cols=data.ncols)
+        ) == InvariantFactors((3, 3, 3), free_rank=1)
+
+        matrix = relation_matrix(phi, psi)
+        # a powers from 3 orbits, b powers from 1, the rest from 9 cosets.
+        assert matrix.rows == 3 * 3 + 4 * 1 + 9 * (2 + 2 * 3) == 85
+        assert abelian_invariants(matrix) == from_full
+
+    @pytest.mark.parametrize("case_id", [1, 2, 3, 4])
+    def test_catalog_matrix_rows_are_distinct(self, case_id):
+        # abelian_invariants drops duplicate rows only after the unit-pivot
+        # pass; the oracle's own rows must not repeat.
+        case = builtin_case(case_id)
+        matrix = relation_matrix(case.phi, case.psi)
+        keys = row_keys(matrix.entries)
+        assert len(set(keys)) == len(keys) == relation_matrix_shape(case)[0]
 
 
 class TestKernelH1:
@@ -323,9 +438,9 @@ class TestKernelH1:
     def test_matrix_shape_case2(self):
         case = builtin_case(2)
         matrix = relation_matrix(case.phi, case.psi)
-        assert (matrix.rows, matrix.cols) == relation_matrix_shape(case) == (448, 145)
-        assert sum(len(row) for row in matrix.entries) == 1355
-        assert sum(len(row) - row.count(0) for row in matrix.data) == 1355
+        assert (matrix.rows, matrix.cols) == relation_matrix_shape(case) == (298, 145)
+        assert sum(len(row) for row in matrix.entries) == 1075
+        assert sum(len(row) - row.count(0) for row in matrix.data) == 1075
 
     def test_untraced_oracle_never_builds_the_dense_view(self, monkeypatch):
         def refuse(self):
@@ -336,7 +451,7 @@ class TestKernelH1:
             report = compute(builtin_case(case_id), ("oracle",))
             assert report.h1["oracle"] == KNOWN_H1[case_id]
 
-    @pytest.mark.parametrize("case_id, shape", [(1, (264, 81)), (3, (171, 64))])
+    @pytest.mark.parametrize("case_id, shape", [(1, (187, 81)), (3, (107, 64))])
     def test_smith_certificate_on_relation_matrix(self, case_id, shape):
         # The oracle's own matrix, reduced with transforms: U A V = D, no
         # zero on the diagonal (b_1 = 0), and the factors above 1 are the

@@ -1,4 +1,5 @@
 import random
+import time
 
 import pytest
 from hypothesis import given, settings
@@ -291,3 +292,22 @@ class TestFreeness:
         meet = cyclic_union(G, phi_images) & cyclic_union(G, psi_images)
         assert freeness_check(phi, psi) == (meet == {G.zero()})
         assert freeness_check(psi, phi) == freeness_check(phi, psi)
+
+
+class TestSampler:
+    """conftest.random_valid_system must end, with a system or an error."""
+
+    def test_impossible_size_fails_fast(self):
+        # Three images of order 4 in Z/4 are odd, so they never sum to zero.
+        start = time.perf_counter()
+        with pytest.raises(ValueError, match="no valid system of 3 images of order 4"):
+            random_valid_system(random.Random(1), FinAbGroup((4,)), 4, 3)
+        assert time.perf_counter() - start < 1.0
+
+    def test_missing_order_fails_at_once(self):
+        with pytest.raises(ValueError, match="no element of order 3"):
+            random_valid_system(random.Random(1), FinAbGroup((2, 2)), 3, 4)
+
+    def test_possible_size_still_sampled(self):
+        system = random_valid_system(random.Random(1), FinAbGroup((4,)), 4, 4)
+        assert system.validation.ok and system.n == 4
