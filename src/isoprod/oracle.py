@@ -11,19 +11,28 @@ whose cokernel is K^ab = H_1.
 Not every conjugate is read.  The commutators are only [a_i, b_j] with
 i < n and j < m (``ProductPresentation.commutators()``): the long relators
 make a_n and b_m words in the other generators, so the commutators left out
-lie in the normal closure of those kept.  The long relators and the kept
-commutators are read from every coset, but a factor power relator x^k only
-from the least coset of each orbit of the other factor's letters.  For
-such a letter y,
+lie in the normal closure of those kept.  The long relators are read from
+every coset.  Of the other readings, those that the 3-cells of the product
+complex show to be redundant are left out.  Write K(c) for the row of
+[a_i, b_j] read from coset c, P_x(c) for that of x^k, alpha = phi(a_i) and
+beta = -psi(b_j); then
 
-    y x^k y^-1 = ([y, x] x)^k,
+    sum_{t<k} K(c + t alpha) = P_a(c) - P_a(c + beta),
+    sum_{t<k} K(c + t beta)  = P_b(c + alpha) - P_b(c)
 
-so the row of x^k from coset c.y is the row from c plus rows of conjugates
-of [y, x], which is a kept commutator or lies in the normal closure of the
-long relators and kept commutators (never of a power relator, so nothing
-is circular).  For a valid pair the other factor's images generate G and
-there is one orbit: (Z/3)^4 with n = m = 6 has 2199 rows instead of 3159,
-and K^ab is the same.
+hold exactly, as integer rows.  One greedy pass matches these relations to
+commutator readings: it drops a reading that a relation holds once and no
+relation used before holds, and blocks every other reading of that
+relation.  Each dropped reading is then a sum of rows kept and readings
+dropped earlier, so it lies in the lattice of the rows kept (the
+acyclic-matching rule of algebraic discrete Morse theory).  A matched
+letter x reads x^k once per cycle of x, along which the readings are equal.
+Where matching would add more nonzeros than it removes, as for large k on
+few cosets, and for a_n and b_m, x^k is read from the least coset of each
+orbit of its own and the other factor's letters, since for such a letter
+y, y x^k y^-1 = ([y, x] x)^k, and [y, x] lies in the normal closure of the
+long relators and the commutators.  For a valid pair that is one coset.
+(Z/3)^4 with n = m = 6 has 1334 rows instead of 3159, and K^ab is the same.
 
 The conjugate t r t^-1 is never built: t follows tree edges, which rewrite
 to nothing, so each row comes from reading r alone starting at coset t.
@@ -211,35 +220,145 @@ def rewrite_relator(relator: Word, coset: int, data: SchreierData) -> dict[int, 
     nothing, so reading the relator from coset c gives the same row as
     reading the whole conjugate from coset 0.  Returns the exponent sums
     over the nontrivial kernel generators as ``{column: coefficient}``,
-    with zero sums dropped.
+    with zero sums dropped.  The emissions are those of ``rewrite_trace``,
+    summed as the relator is read.
     """
+    table = data.table
+    positions, moves, inverse_moves = table.positions, table.moves, table.inverse_moves
     columns = data.columns
     row: dict[int, int] = {}
-    for key, sign in rewrite_trace(relator, data, start=coset):
-        col = columns[key]
-        row[col] = row.get(col, 0) + sign
-    return {col: val for col, val in row.items() if val}
+    c = coset
+    for letter in relator:
+        p = positions[letter.factor, letter.index]
+        if letter.sign == 1:
+            col = columns.get((c, p))
+            c = moves[p][c]
+            if col is not None:
+                row[col] = row.get(col, 0) + 1
+        else:
+            c = inverse_moves[p][c]
+            col = columns.get((c, p))
+            if col is not None:
+                row[col] = row.get(col, 0) - 1
+    if 0 in row.values():
+        for col in [col for col, val in row.items() if not val]:
+            del row[col]
+    return row
 
 
-def _orbit_representatives(table: CosetTable, factor: str) -> list[int]:
-    """The least coset of each orbit of the letters of ``factor`` on the cosets."""
-    moves = [table.moves[p] for p, l in enumerate(table.letters) if l.factor == factor]
-    seen = [False] * table.size
-    reps = []
+Orbits = tuple[list[int], list[list[int]]]
+
+
+def _orbits(table: CosetTable, positions: Sequence[int]) -> Orbits:
+    """Orbits of the letters at ``positions``: each coset's index, each orbit least coset first."""
+    moves = [table.moves[p] for p in positions]
+    index = [-1] * table.size
+    orbits: list[list[int]] = []
     for start in range(table.size):
-        if seen[start]:
+        if index[start] >= 0:
             continue
-        reps.append(start)
-        seen[start] = True
-        stack = [start]
-        while stack:
-            c = stack.pop()
+        index[start] = len(orbits)
+        orbit = [start]
+        for c in orbit:  # grows as the walk finds cosets
             for move in moves:
                 target = move[c]
-                if not seen[target]:
-                    seen[target] = True
-                    stack.append(target)
-    return reps
+                if index[target] < 0:
+                    index[target] = len(orbits)
+                    orbit.append(target)
+        orbits.append(orbit)
+    return index, orbits
+
+
+def _match_commutator(alpha: Orbits | None, beta: Orbits | None) -> list[tuple[int, str]]:
+    """The readings of [a_i, b_j] that 3-cell relations drop, in matching order.
+
+    ``alpha`` and ``beta`` are the ``_orbits`` (cycles) of a_i and b_j, or
+    None for a letter whose relations are not used.  Each pair (c, factor)
+    says that the reading from coset c is dropped by the relation of the
+    cycle through c of that factor's letter, which holds it once; every
+    other commutator reading in that relation is one kept or one dropped
+    earlier in the list.
+    With both letters, each <alpha, beta>-coset, least coset c0, first uses
+    the relation of each beta-cycle but the one through c0, dropping its
+    reading on the alpha-cycle through c0; then the relation of each
+    alpha-cycle, dropping its reading on the beta-cycle through c0, which
+    no relation used so far holds.
+    """
+    if alpha is None or beta is None:
+        one, factor = (alpha, FIRST) if beta is None else (beta, SECOND)
+        return [] if one is None else [(cycle[0], factor) for cycle in one[1]]
+    a_index, a_cycles = alpha
+    b_index, b_cycles = beta
+    a_used = [False] * len(a_cycles)
+    b_used = [False] * len(b_cycles)
+    matched = []
+    for c0 in range(len(a_index)):
+        if b_used[b_index[c0]]:
+            continue  # c0 lies in an <alpha, beta>-coset already matched
+        b_used[b_index[c0]] = True  # the one beta-cycle relation left unused
+        for x in a_cycles[a_index[c0]]:
+            if not b_used[b_index[x]]:
+                b_used[b_index[x]] = True
+                matched.append((x, SECOND))
+        for y in b_cycles[b_index[c0]]:
+            if not a_used[a_index[y]]:
+                a_used[a_index[y]] = True
+                matched.append((y, FIRST))
+    return matched
+
+
+def _matched_factors(order: int, k_a: int, k_b: int, n: int, m: int) -> tuple[bool, bool]:
+    """Whether the a and b letters (all but the last of each) get their cycle relations matched.
+
+    A matched letter reads its power relator once per cycle of its own,
+    |G|/k readings of about k entries instead of one; in return each
+    commutator [a_i, b_j] drops one reading of about 4 entries per cycle
+    of each matched letter, less one per <alpha, beta>-coset when both are.
+    The choice with the fewest estimated nonzeros wins; with none matched,
+    the rows are those of the orbit rule alone.
+    """
+    def nonzeros(a: bool, b: bool) -> float:
+        powers = a * (n - 1) * (order - k_a) + b * (m - 1) * (order - k_b)
+        drops = order * (a / k_a + b / k_b - a * b / (k_a * k_b))
+        return powers - 4 * (n - 1) * (m - 1) * drops
+
+    return min(((False, False), (True, False), (False, True), (True, True)),
+               key=lambda choice: nonzeros(*choice))
+
+
+def _relator_cut(
+    pres: ProductPresentation, table: CosetTable
+) -> tuple[list[tuple[Word, list[int]]], list[list[tuple[int, str]]]]:
+    """The power relator readings the oracle keeps and the commutator readings it drops.
+
+    Returns ``(powers, matched)``: ``powers`` pairs each power relator x^k,
+    a_1..a_n then b_1..b_m, with the cosets it is read from; ``matched``
+    holds ``_match_commutator`` for each of ``pres.commutators()``.  A
+    letter's relations are matched only where its cycles have length k,
+    so that each commutator reading in them has coefficient 1.
+    """
+    matched_factor = dict(zip(
+        (FIRST, SECOND),
+        _matched_factors(table.size, pres.first.k, pres.second.k, pres.first.n, pres.second.n),
+    ))
+    cycles: dict[tuple[str, int], Orbits] = {}
+    powers = []
+    for factor, orbifold in ((FIRST, pres.first), (SECOND, pres.second)):
+        others = [p for p, l in enumerate(table.letters) if l.factor != factor]
+        for i, power in enumerate(orbifold.relators(factor)[:-1], start=1):
+            p = table.positions[factor, i]
+            own = _orbits(table, [p])
+            if matched_factor[factor] and i < orbifold.n and len(own[1][0]) == orbifold.k:
+                cycles[factor, i] = own
+            else:
+                own = _orbits(table, [p] + others)
+            powers.append((power, [orbit[0] for orbit in own[1]]))
+    matched = [
+        _match_commutator(cycles.get((FIRST, i)), cycles.get((SECOND, j)))
+        for i in range(1, pres.first.n)
+        for j in range(1, pres.second.n)
+    ]
+    return powers, matched
 
 
 def relation_matrix(
@@ -249,27 +368,42 @@ def relation_matrix(
 ) -> SparseIntMatrix:
     """Rows of the relators of F read from cosets; columns the nontrivial kernel generators.
 
-    A factor power relator x^k is read from the least coset of each orbit of
-    the other factor's letters (one coset for a valid pair); the long
-    relators and the commutators of ``ProductPresentation.commutators()`` are
-    read from every coset.  For a letter y of the other factor,
-    y x^k y^-1 = ([y, x] x)^k, so the row of x^k from coset c.y is the row
-    from c plus rows of conjugates of [y, x], and [y, x] is a kept
-    commutator or lies in the normal closure of the long relators and kept
-    commutators: the rows left out lie in the lattice of those kept.
+    The long relators are read from every coset, and so is each commutator
+    [a_i, b_j] of ``ProductPresentation.commutators()`` except at the
+    cosets its 3-cell relations match.  With alpha = phi(a_i),
+    beta = -psi(b_j), K(c) the row of [a_i, b_j] read from coset c and
+    P_x(c) that of x^k, the exact integer identities
+
+        sum_{t<k} K(c + t alpha) = P_a(c) - P_a(c + beta),
+        sum_{t<k} K(c + t beta)  = P_b(c + alpha) - P_b(c)
+
+    hold (the boundary of a boundary is zero).  ``_match_commutator`` uses
+    them in a fixed order: it drops a reading that a relation holds once
+    and no relation used before holds, and from then on blocks every other
+    reading of that relation.  So every reading dropped is a sum of rows
+    kept and readings dropped earlier, and lies in the lattice of the rows
+    kept.  A power relator x^k is read from the least coset of each orbit
+    of its own letter, whose readings along a cycle are equal, and, where
+    x's relations are not matched (a_n, b_m, or where
+    ``_matched_factors`` finds matching adds nonzeros), of the other
+    factor's letters too: for such a letter y, y x^k y^-1 = ([y, x] x)^k,
+    and [y, x] lies in the normal closure of the long relators and the
+    commutators, all of whose readings are in the lattice.
     """
     pres = ProductPresentation(phi.presentation(), psi.presentation())
     table = coset_table(pres, DifferenceMap(phi, psi), gen_order)
     data = schreier_transversal(table)
-    rows = []
-    every = []
-    for factor, other, orbifold in ((FIRST, SECOND, pres.first), (SECOND, FIRST, pres.second)):
-        *powers, long = orbifold.relators(factor)
-        reps = _orbit_representatives(table, other)
-        rows += [rewrite_relator(r, c, data) for r in powers for c in reps]
-        every.append(long)
+    powers, matched = _relator_cut(pres, table)
+    rows = [rewrite_relator(r, c, data) for r, cosets in powers for c in cosets]
+    every = (pres.first.relators(FIRST)[-1], pres.second.relators(SECOND)[-1])
     every += pres.commutators()
-    rows += [rewrite_relator(r, c, data) for c in range(table.size) for r in every]
+    dropped = [set()] * 2 + [{c for c, _ in pairs} for pairs in matched]
+    rows += [
+        rewrite_relator(r, c, data)
+        for c in range(table.size)
+        for r, skip in zip(every, dropped)
+        if c not in skip
+    ]
     return SparseIntMatrix(rows, cols=data.ncols)
 
 

@@ -27,7 +27,7 @@ from isoprod import (
 )
 from isoprod.cli import compute
 from isoprod.intlattice import SparseIntMatrix
-from isoprod.oracle import rewrite_trace
+from isoprod.oracle import _matched_factors, _relator_cut, rewrite_trace
 from conftest import random_valid_system
 
 KNOWN_H1 = {
@@ -50,17 +50,23 @@ def case_machinery(case, gen_order=None):
 
 
 def relation_matrix_shape(case):
-    """Rows read by the oracle for a valid pair, and kernel generators off the tree.
+    """Rows read by the oracle for a valid, free pair, and kernel generators off the tree.
 
-    Each of the n + m power relators is read once (the other factor's
-    letters have one orbit on the cosets); the two long relators and the
-    (n - 1)(m - 1) commutators [a_i, b_j] with i < n, j < m are read from
-    each of the |G| cosets.  Each coset has n + m generator edges, |G| - 1 of
-    them in the spanning tree.
+    The catalog's sizes make the oracle match the 3-cell relations of
+    both factors' letters.  Each power relator x^k of a_1..a_{n-1},
+    b_1..b_{m-1} is read once per cycle of x (|G|/k cosets); a_n^k and
+    b_m^k once (the letters have one orbit on the cosets).  The two long
+    relators are read from each of the |G| cosets, and each commutator
+    [a_i, b_j], i < n, j < m, from every coset but 2k - 1 on each of the
+    |G|/k^2 cosets of <phi(a_i), psi(b_j)>, a subgroup of order k^2 for a
+    free action.  Each coset has n + m generator edges, |G| - 1 of them in
+    the spanning tree.
     """
-    order = case.group.order()
-    rows = (case.n + case.m) + 2 * order + (case.n - 1) * (case.m - 1) * order
-    return rows, order * (case.n + case.m) - (order - 1)
+    order, k, n, m = case.group.order(), case.k, case.n, case.m
+    powers = (n - 1 + m - 1) * order // k + 2
+    commutator_readings = order - (2 * k - 1) * order // k**2
+    rows = powers + 2 * order + (n - 1) * (m - 1) * commutator_readings
+    return rows, order * (n + m) - (order - 1)
 
 
 def reference_cosets(diff, letters):
@@ -330,6 +336,14 @@ def relator_cut_inputs():
             psi = random_valid_system(rng, group, k, rng.choice((4, 6)))
             label = "x".join(f"Z{o}" for o in orders)
             out.append(pytest.param(phi, psi, None, id=f"{label}-{seed}"))
+    # A valid but non-free pair: psi(b_1) = (2, 0) lies in <phi(a_1)>, so
+    # <alpha, beta> has order k, not k^2, for that commutator.
+    group = FinAbGroup((3, 3))
+    phi = GeneratingSystem(group, tuple(map(group.element, ((1, 0), (0, 1), (2, 2)))), 3)
+    psi = GeneratingSystem(
+        group, tuple(map(group.element, ((2, 0), (1, 0), (0, 1), (0, 2)))), 3
+    )
+    out.append(pytest.param(phi, psi, None, id="psi-in-phi"))
     case = builtin_case(1)
     gen_order = list(range(case.n + case.m))
     random.Random(71).shuffle(gen_order)
@@ -396,9 +410,130 @@ class TestRelatorCut:
         ) == InvariantFactors((3, 3, 3), free_rank=1)
 
         matrix = relation_matrix(phi, psi)
-        # a powers from 3 orbits, b powers from 1, the rest from 9 cosets.
-        assert matrix.rows == 3 * 3 + 4 * 1 + 9 * (2 + 2 * 3) == 85
+        # a_1, a_2 and b_1..b_3 are read once per cycle of their own letter
+        # (3 each); a_3 and b_4 once per orbit of their own and the other
+        # factor's letters, which together reach all nine cosets.  The long
+        # relators come from 9 cosets, and each commutator [a_i, b_j] from
+        # 9 less those matched: 2k - 1 = 5 on the one <alpha, beta>-coset
+        # where phi(a_1) = (1, 1), and one per <alpha>-coset, 3, where
+        # psi(b_j) lies in <phi(a_2)> = <e1>.
+        assert matrix.rows == 5 * 3 + 2 * 1 + 9 * 2 + 3 * (9 - 5) + 3 * (9 - 3) == 65
         assert abelian_invariants(matrix) == from_full
+
+        # With a_3 = (1, 0) last, a_3 and the b letters stay in <e1>: three
+        # orbits, and a_3^3 is read from each.  Reading it from coset 0 alone
+        # leaves a free summand again.
+        phi = GeneratingSystem(G, tuple(map(G.element, ((1, 1), (1, 2), (1, 0)))), 3)
+        pres, _, table, data = pair_machinery(phi, psi)
+        _, rows = every_relator_row(pres, data)
+        from_full = abelian_invariants(SparseIntMatrix(rows, cols=data.ncols))
+        assert from_full == InvariantFactors((3, 3, 3, 3))
+        powers, _ = _relator_cut(pres, table)
+        a_last, cosets = powers[2]
+        assert a_last == pres.first.relators("a")[2] and len(cosets) == 3
+        matrix = relation_matrix(phi, psi)
+        assert abelian_invariants(matrix) == from_full
+        others = {frozenset(rewrite_relator(a_last, c, data).items()) for c in cosets[1:]}
+        coset_zero_only = [row for row in matrix.entries if frozenset(row.items()) not in others]
+        assert len(coset_zero_only) == matrix.rows - 2
+        assert abelian_invariants(
+            SparseIntMatrix(coset_zero_only, cols=data.ncols)
+        ) == InvariantFactors((3, 3, 3), free_rank=1)
+
+    @pytest.mark.parametrize("phi, psi, gen_order", relator_cut_inputs())
+    def test_matched_relations_are_exact_and_acyclic(self, phi, psi, gen_order):
+        # Each dropped reading K(c) of [a_i, b_j] names the relation that drops
+        # it, that of the cycle through c of a_i (alpha) or of b_j (beta):
+        #   sum_t K(c + t alpha) - P_a(c) + P_a(c + beta) = 0,
+        #   sum_t K(c + t beta) - P_b(c + alpha) + P_b(c) = 0.
+        # The relation must sum to the zero row and hold K(c) once; its
+        # power rows must be rows the oracle keeps, and its other commutator
+        # readings kept or dropped earlier.  Then, by induction along the
+        # list, every dropped reading lies in the lattice of the rows kept.
+        pres, _, table, data = pair_machinery(phi, psi, gen_order)
+        powers, matched = _relator_cut(pres, table)
+        k, n, m = phi.k, phi.n, psi.n
+        kept_powers = {r: set(row_keys(rewrite_relator(r, c, data) for c in cosets))
+                       for r, cosets in powers}
+        a_powers = pres.first.relators("a")[:-1]
+        b_powers = pres.second.relators("b")[:-1]
+        pairs = [(i, j) for i in range(1, n) for j in range(1, m)]
+        assert len(matched) == len(pres.commutators()) == len(pairs)
+        for (i, j), word, drops in zip(pairs, pres.commutators(), matched):
+            a = table.moves[table.positions["a", i]]
+            b = table.moves[table.positions["b", j]]
+            dropped_at = {c: t for t, (c, _) in enumerate(drops)}
+            assert len(dropped_at) == len(drops)
+            for t, (c, factor) in enumerate(drops):
+                if factor == "a":
+                    step, power, ends = a, a_powers[i - 1], ((c, -1), (b[c], 1))
+                else:
+                    step, power, ends = b, b_powers[j - 1], ((a[c], -1), (c, 1))
+                cycle = [c]
+                while step[cycle[-1]] != c:
+                    cycle.append(step[cycle[-1]])
+                assert len(cycle) == k
+                total = Counter()
+                for x in cycle:
+                    total.update(rewrite_relator(word, x, data))
+                for x, sign in ends:
+                    row = rewrite_relator(power, x, data)
+                    assert frozenset(row.items()) in kept_powers[power]
+                    for col, value in row.items():
+                        total[col] += sign * value
+                assert not any(total.values())
+                for x in cycle[1:]:
+                    assert dropped_at.get(x, -1) < t
+        # These sizes all match some letter's relations, so the check is not
+        # vacuous; and the matrix holds exactly the readings kept.
+        assert any(matched)
+        every = (pres.first.relators("a")[-1], pres.second.relators("b")[-1])
+        every += pres.commutators()
+        skips = [set(), set()] + [{c for c, _ in drops} for drops in matched]
+        expected = [rewrite_relator(r, c, data) for r, cosets in powers for c in cosets]
+        expected += [rewrite_relator(r, c, data) for c in range(table.size)
+                     for r, skip in zip(every, skips) if c not in skip]
+        matrix = relation_matrix(phi, psi, gen_order)
+        assert Counter(row_keys(matrix.entries)) == Counter(row_keys(expected))
+
+    def test_large_k_keeps_the_orbit_rule(self):
+        # On (Z/11)^2 with n = m = 3 a matched letter would read x^11 from
+        # 11 cosets to drop about as many 4-entry commutator readings, so
+        # neither factor is matched: each power relator is read once and
+        # every commutator from every coset.  On (Z/3)^4, n = m = 6, both are.
+        assert _matched_factors(81, 3, 3, 6, 6) == (True, True)
+        assert _matched_factors(121, 11, 11, 3, 3) == (False, False)
+        rng = random.Random(79)
+        group = FinAbGroup((11, 11))
+        phi, psi = random_valid_system(rng, group, 11, 3), random_valid_system(rng, group, 11, 3)
+        pres, _, table, data = pair_machinery(phi, psi)
+        powers, matched = _relator_cut(pres, table)
+        assert [cosets for _, cosets in powers] == [[0]] * 6
+        assert not any(matched)
+        matrix = relation_matrix(phi, psi)
+        assert matrix.rows == 6 + 2 * 121 + 2 * 2 * 121
+        _, rows = every_relator_row(pres, data)
+        from_full = abelian_invariants(SparseIntMatrix(rows, cols=data.ncols))
+        assert from_full.is_finite
+        assert abelian_invariants(matrix) == from_full
+
+    def test_letters_of_lower_order_are_not_matched(self):
+        # relation_matrix reads any pair the coset table accepts.  Here
+        # phi(a_2) = 3 and psi(b_1) = 6 have order 3 in Z/9 with k = 9, so
+        # their relations hold each commutator reading 3 times, and only 3
+        # times a reading would be shown to lie in the lattice.  Matching
+        # them anyway gives Z/3 + (Z/9)^3.
+        G = FinAbGroup((9,))
+        phi = GeneratingSystem(G, tuple(map(G.element, ((1,), (3,), (5,)))), 9)
+        psi = GeneratingSystem(G, tuple(map(G.element, ((6,), (8,), (4,)))), 9)
+        pres, _, table, data = pair_machinery(phi, psi)
+        powers, matched = _relator_cut(pres, table)
+        assert [len(cosets) for _, cosets in powers] == [1, 1, 1, 1, 1, 1]
+        assert [sorted({f for _, f in drops}) for drops in matched] == [["a"], ["a"], [], ["b"]]
+        _, rows = every_relator_row(pres, data)
+        from_full = abelian_invariants(SparseIntMatrix(rows, cols=data.ncols))
+        assert from_full == InvariantFactors((9, 9, 9))
+        assert abelian_invariants(relation_matrix(phi, psi)) == from_full
 
     @pytest.mark.parametrize("case_id", [1, 2, 3, 4])
     def test_catalog_matrix_rows_are_distinct(self, case_id):
@@ -438,9 +573,9 @@ class TestKernelH1:
     def test_matrix_shape_case2(self):
         case = builtin_case(2)
         matrix = relation_matrix(case.phi, case.psi)
-        assert (matrix.rows, matrix.cols) == relation_matrix_shape(case) == (298, 145)
-        assert sum(len(row) for row in matrix.entries) == 1075
-        assert sum(len(row) - row.count(0) for row in matrix.data) == 1075
+        assert (matrix.rows, matrix.cols) == relation_matrix_shape(case) == (162, 145)
+        assert sum(len(row) for row in matrix.entries) == 518
+        assert sum(len(row) - row.count(0) for row in matrix.data) == 518
 
     def test_untraced_oracle_never_builds_the_dense_view(self, monkeypatch):
         def refuse(self):
@@ -451,7 +586,7 @@ class TestKernelH1:
             report = compute(builtin_case(case_id), ("oracle",))
             assert report.h1["oracle"] == KNOWN_H1[case_id]
 
-    @pytest.mark.parametrize("case_id, shape", [(1, (187, 81)), (3, (107, 64))])
+    @pytest.mark.parametrize("case_id, shape", [(1, (94, 81)), (3, (74, 64))])
     def test_smith_certificate_on_relation_matrix(self, case_id, shape):
         # The oracle's own matrix, reduced with transforms: U A V = D, no
         # zero on the diagonal (b_1 = 0), and the factors above 1 are the
