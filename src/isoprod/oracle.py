@@ -27,11 +27,13 @@ relation.  Each dropped reading is then a sum of rows kept and readings
 dropped earlier, so it lies in the lattice of the rows kept (the
 acyclic-matching rule of algebraic discrete Morse theory).  A matched
 letter x reads x^k once per cycle of x, along which the readings are equal.
-Where matching would add more nonzeros than it removes, as for large k on
-few cosets, and for a_n and b_m, x^k is read from the least coset of each
-orbit of its own and the other factor's letters, since for such a letter
-y, y x^k y^-1 = ([y, x] x)^k, and [y, x] lies in the normal closure of the
-long relators and the commutators.  For a valid pair that is one coset.
+Where an estimate of the nonzeros says matching would add more than it
+removes, as for large k on few cosets (checked by timing on the (Z/11)^2
+ladder rung), and for a_n and b_m, x^k is read from the least coset of
+each orbit of its own and the other factor's letters, since for such a
+letter y, y x^k y^-1 = ([y, x] x)^k, and [y, x] lies in the normal closure
+of the long relators and the commutators.  For a valid pair that is one
+coset.
 (Z/3)^4 with n = m = 6 has 1334 rows instead of 3159, and K^ab is the same.
 
 The conjugate t r t^-1 is never built: t follows tree edges, which rewrite
@@ -307,23 +309,22 @@ def _match_commutator(alpha: Orbits | None, beta: Orbits | None) -> list[tuple[i
     return matched
 
 
-def _matched_factors(order: int, k_a: int, k_b: int, n: int, m: int) -> tuple[bool, bool]:
-    """Whether the a and b letters (all but the last of each) get their cycle relations matched.
+def _matching_pays(order: int, k_a: int, k_b: int, n: int, m: int) -> bool:
+    """Whether to match the cycle relations of a_1..a_{n-1} and b_1..b_{m-1}.
 
-    A matched letter reads its power relator once per cycle of its own,
-    |G|/k readings of about k entries instead of one; in return each
-    commutator [a_i, b_j] drops one reading of about 4 entries per cycle
-    of each matched letter, less one per <alpha, beta>-coset when both are.
-    The choice with the fewest estimated nonzeros wins; with none matched,
-    the rows are those of the orbit rule alone.
+    An estimate, not a count: for a free action, matching reads each power
+    relator |G|/k - 1 more times, about k entries each, and drops from each
+    commutator 2|G|/k - |G|/k^2 readings, taken as 4 entries each.  It pays
+    when it removes more than it adds.  Timing ``kernel_h1`` on the
+    benchmark's ladder rungs checks it on both sides: on (Z/11)^2,
+    n = m = 3, where it says no, forcing matching on took a third longer;
+    on (Z/7)^2, n = m = 3, the rung nearest the threshold where it says
+    yes, the two times were within noise; on the larger rungs matching
+    took a quarter to a half less.
     """
-    def nonzeros(a: bool, b: bool) -> float:
-        powers = a * (n - 1) * (order - k_a) + b * (m - 1) * (order - k_b)
-        drops = order * (a / k_a + b / k_b - a * b / (k_a * k_b))
-        return powers - 4 * (n - 1) * (m - 1) * drops
-
-    return min(((False, False), (True, False), (False, True), (True, True)),
-               key=lambda choice: nonzeros(*choice))
+    added = (n - 1) * (order - k_a) + (m - 1) * (order - k_b)
+    drops = order * (1 / k_a + 1 / k_b - 1 / (k_a * k_b))
+    return added < 4 * (n - 1) * (m - 1) * drops
 
 
 def _relator_cut(
@@ -337,10 +338,7 @@ def _relator_cut(
     letter's relations are matched only where its cycles have length k,
     so that each commutator reading in them has coefficient 1.
     """
-    matched_factor = dict(zip(
-        (FIRST, SECOND),
-        _matched_factors(table.size, pres.first.k, pres.second.k, pres.first.n, pres.second.n),
-    ))
+    match = _matching_pays(table.size, pres.first.k, pres.second.k, pres.first.n, pres.second.n)
     cycles: dict[tuple[str, int], Orbits] = {}
     powers = []
     for factor, orbifold in ((FIRST, pres.first), (SECOND, pres.second)):
@@ -348,7 +346,7 @@ def _relator_cut(
         for i, power in enumerate(orbifold.relators(factor)[:-1], start=1):
             p = table.positions[factor, i]
             own = _orbits(table, [p])
-            if matched_factor[factor] and i < orbifold.n and len(own[1][0]) == orbifold.k:
+            if match and i < orbifold.n and len(own[1][0]) == orbifold.k:
                 cycles[factor, i] = own
             else:
                 own = _orbits(table, [p] + others)
@@ -384,8 +382,8 @@ def relation_matrix(
     kept and readings dropped earlier, and lies in the lattice of the rows
     kept.  A power relator x^k is read from the least coset of each orbit
     of its own letter, whose readings along a cycle are equal, and, where
-    x's relations are not matched (a_n, b_m, or where
-    ``_matched_factors`` finds matching adds nonzeros), of the other
+    x's relations are not matched (a_n, b_m, or where ``_matching_pays``
+    estimates that matching adds nonzeros), of the other
     factor's letters too: for such a letter y, y x^k y^-1 = ([y, x] x)^k,
     and [y, x] lies in the normal closure of the long relators and the
     commutators, all of whose readings are in the lattice.

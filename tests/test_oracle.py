@@ -27,7 +27,7 @@ from isoprod import (
 )
 from isoprod.cli import compute
 from isoprod.intlattice import SparseIntMatrix
-from isoprod.oracle import _matched_factors, _relator_cut, rewrite_trace
+from isoprod.oracle import _matching_pays, _relator_cut, rewrite_trace
 from conftest import random_valid_system
 
 KNOWN_H1 = {
@@ -358,12 +358,15 @@ def row_keys(rows):
 class TestRelatorCut:
     """The oracle reads fewer rows than F has relator conjugates; the lattice must not change.
 
-    It leaves out [a_n, b_j] and [a_i, b_m], and reads each power relator
-    x^k from one coset per orbit of the other factor's letters instead of
-    from every coset.  Its rows are a subset of the full set, so they span
-    a sublattice L' of the full relation lattice L.  When both cokernels
-    are finite with equal invariant factors, Z^cols / L' and Z^cols / L have
-    the same order, so L' has the same finite index as L and L' = L.
+    It leaves out [a_n, b_j] and [a_i, b_m], and the readings of each
+    other commutator that its 3-cell relations match.  It reads a power
+    relator x^k once per cycle of x where x's relations are matched, and
+    otherwise once per orbit of x's own and the other factor's letters,
+    instead of from every coset.  Its rows are a subset of the full set
+    (every relator of F from every coset), so they span a sublattice L' of
+    the full relation lattice L.  When both cokernels are finite with equal
+    invariant factors, Z^cols / L' and Z^cols / L have the same order, so
+    L' has the same finite index as L and L' = L.
     """
 
     @pytest.mark.parametrize("phi, psi, gen_order", relator_cut_inputs())
@@ -386,8 +389,9 @@ class TestRelatorCut:
     def test_power_relators_read_once_per_orbit(self):
         # psi spans only <e1>, so the b letters have three orbits on the nine
         # cosets.  Reading each power relator from coset 0 alone loses the
-        # rows of a_i^3 from the other two orbits and leaves a free summand;
-        # one reading per orbit gives the full set's answer.
+        # rows of a_i^3 from the other cosets and leaves a free summand; the
+        # oracle's readings, once per cycle of a matched letter and once per
+        # orbit of the other letters, give the full set's answer.
         G = FinAbGroup((3, 3))
         phi = GeneratingSystem(G, tuple(map(G.element, ((1, 1), (1, 0), (1, 2)))), 3)
         psi = GeneratingSystem(
@@ -499,10 +503,12 @@ class TestRelatorCut:
     def test_large_k_keeps_the_orbit_rule(self):
         # On (Z/11)^2 with n = m = 3 a matched letter would read x^11 from
         # 11 cosets to drop about as many 4-entry commutator readings, so
-        # neither factor is matched: each power relator is read once and
-        # every commutator from every coset.  On (Z/3)^4, n = m = 6, both are.
-        assert _matched_factors(81, 3, 3, 6, 6) == (True, True)
-        assert _matched_factors(121, 11, 11, 3, 3) == (False, False)
+        # nothing is matched: each power relator is read once and every
+        # commutator from every coset.  The ladder rungs (Z/7)^2, n = m = 3,
+        # and (Z/3)^4, n = m = 6, are matched.
+        assert not _matching_pays(121, 11, 11, 3, 3)
+        assert _matching_pays(49, 7, 7, 3, 3)
+        assert _matching_pays(81, 3, 3, 6, 6)
         rng = random.Random(79)
         group = FinAbGroup((11, 11))
         phi, psi = random_valid_system(rng, group, 11, 3), random_valid_system(rng, group, 11, 3)
